@@ -12,6 +12,7 @@ perfbench/README.md for the workloads and metrics.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -46,6 +47,31 @@ def run_logged(cmd, timeout):
         proc.kill()
         proc.wait()
         fail("timed out: " + " ".join(cmd))
+
+
+def source_id():
+    """Hash of every source file the benchmark binary is built from.
+
+    It keys the cross-run digests, so runs are compared only against
+    earlier runs of the same code.
+    """
+    digest = hashlib.sha256()
+    roots = [os.path.join(ROOT, "src"), os.path.join(HERE, "src")]
+    files = [os.path.join(ROOT, "bench", "bench_common.h"),
+             os.path.join(ROOT, "bench", "bench_common.cc"),
+             os.path.join(HERE, "CMakeLists.txt")]
+    for root in roots:
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames.sort()
+            files.extend(os.path.join(dirpath, f) for f in filenames)
+    for path in sorted(files):
+        if not os.path.isfile(path):
+            continue
+        digest.update(os.path.relpath(path, ROOT).encode() + b"\0")
+        with open(path, "rb") as f:
+            digest.update(f.read())
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
 
 
 def build(build_dir):
@@ -92,7 +118,8 @@ def main():
     common = ["--workload", args.workload, "--seed", str(args.seed),
               "--seconds", repr(args.seconds), "--trace", str(args.trace),
               "--work-dir", work_dir,
-              "--digest-file", os.path.join(build_dir, "digests.txt")]
+              "--digest-file", os.path.join(build_dir, "digests.txt"),
+              "--source-id", source_id()]
     try:
         if run_logged([binary] + common + ["--prepare", "1"],
                       RUN_TIMEOUT_S) != 0:

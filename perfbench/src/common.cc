@@ -1,9 +1,15 @@
 #include "common.h"
 
+#include <fcntl.h>
+#include <pthread.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -14,6 +20,23 @@
 
 namespace sagdfn::perfbench {
 
+namespace {
+double CpuClockSeconds(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+}  // namespace
+
+double ProcessCpuSeconds() { return CpuClockSeconds(CLOCK_PROCESS_CPUTIME_ID); }
+double ThreadCpuSeconds() { return CpuClockSeconds(CLOCK_THREAD_CPUTIME_ID); }
+double ThreadCpuSeconds(std::thread& thread) {
+  clockid_t clock;
+  if (pthread_getcpuclockid(thread.native_handle(), &clock) != 0) return 0.0;
+  return CpuClockSeconds(clock);
+}
+
 void SleepUntil(Clock::time_point due) {
   constexpr auto kSpin = std::chrono::microseconds(200);
   const auto now = Clock::now();
@@ -21,19 +44,31 @@ void SleepUntil(Clock::time_point due) {
   while (Clock::now() < due) std::this_thread::yield();
 }
 
-std::vector<double> TimeRepeated(double warm_s, int reps,
-                                 const std::function<bool()>& fn) {
+bool WarmThenRepeat(double warm_s, int reps,
+                    const std::function<bool(bool timed)>& fn) {
   const auto start = Clock::now();
   do {
-    if (!fn()) return {};
+    if (!fn(false)) return false;
   } while (SecondsBetween(start, Clock::now()) < warm_s);
-  std::vector<double> seconds;
   for (int i = 0; i < reps; ++i) {
-    const auto t0 = Clock::now();
-    if (!fn()) return {};
-    seconds.push_back(SecondsBetween(t0, Clock::now()));
+    if (!fn(true)) return false;
   }
-  return seconds;
+  return true;
+}
+
+Timings TimeRepeated(double warm_s, int reps, const std::function<bool()>& fn) {
+  Timings timings;
+  const bool ok = WarmThenRepeat(warm_s, reps, [&](bool timed) {
+    const auto t0 = Clock::now();
+    const double cpu0 = ProcessCpuSeconds();
+    if (!fn()) return false;
+    if (timed) {
+      timings.cpu_s.push_back(ProcessCpuSeconds() - cpu0);
+      timings.wall_s.push_back(SecondsBetween(t0, Clock::now()));
+    }
+    return true;
+  });
+  return ok ? timings : Timings{};
 }
 
 std::vector<double> PoissonSchedule(double rate_per_s, double duration_s,
@@ -85,6 +120,10 @@ Summary Summarize(std::vector<double> samples, double wanted_pct) {
   return s;
 }
 
+double Median(std::vector<double> samples) {
+  return Summarize(std::move(samples), 50.0).p50;
+}
+
 bool BacklogGrowing(const std::vector<double>& samples, double slack) {
   if (samples.size() < 6) return false;
   const size_t third = samples.size() / 3;
@@ -118,7 +157,14 @@ std::string HexDigest(uint64_t digest) {
 
 bool CheckDigestAcrossRuns(const std::string& path, const std::string& key,
                            const std::string& digest, std::string* message) {
-  // One "key digest" pair per line; keys contain no spaces.
+  // One "key digest" pair per line; keys contain no spaces. The whole
+  // read-check-append runs under an exclusive lock on the file.
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
+  if (fd < 0 || ::flock(fd, LOCK_EX) != 0) {
+    if (fd >= 0) ::close(fd);
+    *message = "cannot open and lock the digest file " + path;
+    return false;
+  }
   std::map<std::string, std::string> known;
   {
     std::ifstream in(path);
@@ -126,20 +172,30 @@ bool CheckDigestAcrossRuns(const std::string& path, const std::string& key,
     std::string d;
     while (in >> k >> d) known[k] = d;
   }
+  bool ok = true;
   const auto it = known.find(key);
   if (it != known.end()) {
-    if (it->second != digest) {
-      *message = "digest " + digest + " for " + key + " differs from " +
-                 it->second + " recorded by an earlier run";
-      return false;
-    }
-    *message = "digest " + digest + " matches an earlier run of " + key;
-    return true;
+    ok = it->second == digest;
+    *message = ok ? "digest " + digest + " matches an earlier run of " + key
+                  : "digest " + digest + " for " + key + " differs from " +
+                        it->second + " recorded by an earlier run";
+  } else {
+    const std::string line = key + ' ' + digest + '\n';
+    ok = ::write(fd, line.data(), line.size()) ==
+         static_cast<ssize_t>(line.size());
+    *message = ok ? "digest " + digest + " recorded for " + key
+                  : "cannot append to the digest file " + path;
   }
-  std::ofstream out(path, std::ios::app);
-  out << key << ' ' << digest << '\n';
-  *message = "digest " + digest + " recorded for " + key;
-  return true;
+  ::flock(fd, LOCK_UN);
+  ::close(fd);
+  return ok;
+}
+
+std::string DigestKey(const RunOptions& options) {
+  return (options.source_id.empty() ? "unversioned" : options.source_id) +
+         "/" + options.workload + "/seed" + std::to_string(options.seed) +
+         "/s" + FormatNumber(options.seconds) +
+         (options.trace ? "/traced" : "");
 }
 
 void RunResult::Fail(const std::string& why) {

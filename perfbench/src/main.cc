@@ -2,7 +2,7 @@
 // it and calls it; it can also be run by hand:
 //
 //   perfbench --workload serve-207 --seed 3 --seconds 12 --trace 0
-//             --work-dir <dir> --digest-file <file>
+//             --work-dir <dir> --digest-file <file> [--source-id <id>]
 //
 // stream-100k needs `--prepare 1` first (same flags) to write its model
 // snapshots and frames. The report goes to stdout; its last line is the
@@ -20,7 +20,8 @@ namespace {
 
 const char* kUsage =
     "usage: perfbench --workload <name> --seed <n> --seconds <s> "
-    "--trace <0|1> --work-dir <dir> --digest-file <path> [--prepare 1]\n";
+    "--trace <0|1> --work-dir <dir> --digest-file <path> "
+    "[--source-id <id>] [--prepare 1]\n";
 
 bool ParseArgs(int argc, char** argv, RunOptions* options, bool* prepare,
                std::string* error) {
@@ -44,6 +45,8 @@ bool ParseArgs(int argc, char** argv, RunOptions* options, bool* prepare,
       options->work_dir = value;
     } else if (flag == "--digest-file") {
       options->digest_file = value;
+    } else if (flag == "--source-id") {
+      options->source_id = value;
     } else if (flag == "--prepare") {
       *prepare = value == "1";
     } else {

@@ -11,8 +11,7 @@ const std::vector<MetricSpec>& EndToEndMetrics() {
   static const std::vector<MetricSpec> specs = {
       {"setup_s", "s"},
       {"peak_rss_mb", "MiB"},
-      {"p50_ms", "ms"},
-      {"throughput_per_s", "1/s"},
+      {"cpu_ms_per_item", "ms"},
       {"forecast_mae", "units"},
   };
   return specs;

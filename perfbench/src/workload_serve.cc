@@ -36,7 +36,7 @@ namespace {
 constexpr const char* kTenant = "metr-la";
 constexpr double kSloMs = 50.0;
 constexpr double kWarmupSeconds = 1.0;
-constexpr int kSetupRepeats = 15;
+constexpr int kSetupRepeats = 25;
 constexpr int64_t kWindowPool = 256;
 constexpr int64_t kCheckEvery = 37;
 constexpr int64_t kMaxChecks = 40;
@@ -45,12 +45,10 @@ constexpr double kBacklogSampleS = 0.01;
 constexpr double kBacklogSlack = 16.0;  // two full batches
 constexpr double kRungWarmupSeconds = 0.5;
 constexpr int kCapacityClients = 8;
-constexpr double kCapacitySeconds = 2.0;
-// Kernel-pool threads while serving: with the 2 engine workers that makes
-// 4 threads on 4 cores. With the default pool (one thread per core) the
-// workers and 4 pool threads oversubscribe the cores and batch-1 latency
-// swung 7-21 ms between runs on a shared VM.
-constexpr int64_t kKernelThreads = 2;
+constexpr double kCapacityWarmupSeconds = 1.0;
+// Share of the run's seconds spent measuring closed-loop capacity; the
+// ladder's rung shares fill the rest.
+constexpr double kCapacityShare = 0.25;
 
 // bench_rollout's metr-la shape: 207 nodes, hidden 32, M 20, h = f = 12.
 // The weights are part of the deployment, not of the inputs: every seed
@@ -118,6 +116,7 @@ struct Outcome {
   Clock::time_point due;
   double late_s = 0.0;    // submit start - due
   double latency_s = 0.0; // due -> future seen ready
+  double service_s = 0.0; // submit start -> future seen ready
   bool ok = false;
   uint64_t digest = 0;
   double abs_err_sum = 0.0;
@@ -133,6 +132,9 @@ struct Phase {
   std::vector<double> publish_s;
   std::vector<Clock::time_point> swapped_at;
   int64_t publish_failures = 0;
+  /// Process CPU seconds of the phase less the load threads' own: the
+  /// poller's, and the sender's and publisher's waits for due times.
+  double serving_cpu_s = 0.0;
 };
 
 struct PhasePlan {
@@ -174,8 +176,18 @@ Phase RunPhase(serve::TenantRouter& router, const std::vector<Window>& pool,
 
   phase.start = Clock::now() + std::chrono::milliseconds(5);
   phase.last_ready = phase.start;
+  const double cpu0 = ProcessCpuSeconds();
+  // CPU the load threads spend on themselves, not in the program.
+  std::atomic<double> load_cpu_s{0.0};
+  // Waits for `due` and books the CPU the wait burns as load-thread time.
+  auto wait_until = [&](Clock::time_point due) {
+    const double c0 = ThreadCpuSeconds();
+    SleepUntil(due);
+    load_cpu_s.fetch_add(ThreadCpuSeconds() - c0);
+  };
 
   std::thread poller([&] {
+    const double poller_cpu0 = ThreadCpuSeconds();
     std::deque<Pending> pending;
     int64_t completed = 0;
     Clock::time_point next_sample = phase.start;
@@ -201,7 +213,10 @@ Phase RunPhase(serve::TenantRouter& router, const std::vector<Window>& pool,
                                      kBacklogSampleS));
       }
       if (pending.empty()) {
-        if (done) break;
+        if (done) {
+          load_cpu_s.fetch_add(ThreadCpuSeconds() - poller_cpu0);
+          break;
+        }
         std::this_thread::sleep_for(kPollWait);
         continue;
       }
@@ -216,6 +231,7 @@ Phase RunPhase(serve::TenantRouter& router, const std::vector<Window>& pool,
         serve::Forecast forecast = it->future.get();
         Outcome& o = phase.outcomes[it->id];
         o.latency_s = SecondsBetween(o.due, ready);
+        o.service_s = o.latency_s - o.late_s;
         o.ok = forecast.status.ok();
         if (Tracer::Enabled()) {
           Tracer::Record("serve.request", Tracer::ToNs(o.due),
@@ -249,7 +265,7 @@ Phase RunPhase(serve::TenantRouter& router, const std::vector<Window>& pool,
       for (int64_t k = 0;; ++k) {
         const double at = plan.publish_every_s * (static_cast<double>(k) + 0.5);
         if (at >= plan.seconds) break;
-        SleepUntil(phase.start +
+        wait_until(phase.start +
                    std::chrono::duration_cast<Clock::duration>(
                        std::chrono::duration<double>(at)));
         const auto t0 = Clock::now();
@@ -273,7 +289,7 @@ Phase RunPhase(serve::TenantRouter& router, const std::vector<Window>& pool,
     Outcome& o = phase.outcomes[i];
     o.due = phase.start + std::chrono::duration_cast<Clock::duration>(
                               std::chrono::duration<double>(offsets[i]));
-    SleepUntil(o.due);
+    wait_until(o.due);
     const auto t0 = Clock::now();
     std::future<serve::Forecast> future;
     {
@@ -292,6 +308,7 @@ Phase RunPhase(serve::TenantRouter& router, const std::vector<Window>& pool,
   }
   poller.join();
   if (publisher.joinable()) publisher.join();
+  phase.serving_cpu_s = ProcessCpuSeconds() - cpu0 - load_cpu_s.load();
   return phase;
 }
 
@@ -323,8 +340,6 @@ double BucketPercentileMs(const obs::TimerStats& stats, double pct) {
   return stats.max_seconds * 1e3;
 }
 
-double Median(std::vector<double> v) { return Summarize(std::move(v), 50).p50; }
-
 /// The rung meets the latency limit when its tail (p99, or the highest
 /// percentile its sample supports) is within kSloMs, the backlog is not
 /// growing and no request failed (a failure counts as a miss anyway).
@@ -338,11 +353,11 @@ bool SloMet(const Summary& latency, bool backlog, int64_t failed) {
 const std::vector<ServeRung>& ServeRungs() {
   // Offered rates frozen at about 10%, 50% and 80% of the closed-loop
   // saturation of this serve stack (see perfbench/README.md); each rung
-  // gets `share` of the run's seconds.
+  // gets `share` of the run's seconds, closed-loop capacity the rest.
   static const std::vector<ServeRung> rungs = {
-      {"low", 20.0, 0.0, 0.4},
-      {"mid", 100.0, 2.0, 0.35},
-      {"high", 160.0, 0.0, 0.25},
+      {"low", 20.0, 0.0, 0.3},
+      {"mid", 100.0, 2.0, 0.25},
+      {"high", 160.0, 0.0, 0.2},
   };
   return rungs;
 }
@@ -386,6 +401,8 @@ bool MakeServeInputs(const RunOptions& options, ServeInputs* in,
   return true;
 }
 
+/// Set-up as a deployment does it: load the checkpoint, register the
+/// tenant, and serve the first forecast (which builds the batch-1 plan).
 utils::Status StartRouter(const ServeInputs& in,
                           std::unique_ptr<serve::TenantRouter>* router) {
   std::unique_ptr<serve::FrozenModel> frozen;
@@ -393,9 +410,12 @@ utils::Status StartRouter(const ServeInputs& in,
       serve::FrozenModel::Load(in.config, in.live_path, &frozen);
   if (!status.ok()) return status;
   *router = std::make_unique<serve::TenantRouter>();
-  return (*router)->AddTenant(
+  status = (*router)->AddTenant(
       kTenant, std::shared_ptr<const serve::FrozenModel>(std::move(frozen)),
       in.tenant);
+  if (!status.ok()) return status;
+  const Window& w = in.pool.front();
+  return (*router)->Submit(kTenant, w.x, w.tod).get().status;
 }
 
 /// `clients` threads each keep one request in flight for `seconds`.
@@ -439,16 +459,16 @@ RunResult RunServe(const RunOptions& options) {
   const float scale_mean = in.dataset->scaler().mean();
   const float scale_std = in.dataset->scaler().stddev();
 
-  // ---- Set-up: FrozenModel::Load + AddTenant, repeated. ---------------
+  // ---- Set-up: Load + AddTenant + first forecast, repeated. ------------
   std::unique_ptr<serve::TenantRouter> router;
   utils::Status status;
-  const std::vector<double> setup_s =
+  const Timings setup =
       TimeRepeated(kWarmupSeconds, kSetupRepeats, [&] {
         router.reset();
         status = StartRouter(in, &router);
         return status.ok();
       });
-  if (setup_s.empty()) {
+  if (setup.wall_s.empty()) {
     result.Fail("serve set-up failed: " + status.ToString());
     return result;
   }
@@ -470,13 +490,22 @@ RunResult RunServe(const RunOptions& options) {
     }
   }
 
-  // ---- Closed-loop capacity (also warms every batch size's plan). -----
+  // ---- Closed-loop capacity, after an untimed burst that warms every
+  // batch size's plan. --------------------------------------------------
+  const int64_t warm_failed =
+      ClosedLoop(*router, pool, kCapacityClients, kCapacityWarmupSeconds)
+          .second;
   const auto capacity_start = Clock::now();
-  const auto [capacity_done, capacity_failed] =
-      ClosedLoop(*router, pool, kCapacityClients, kCapacitySeconds);
+  const double capacity_cpu0 = ProcessCpuSeconds();
+  const auto [capacity_done, capacity_failed] = ClosedLoop(
+      *router, pool, kCapacityClients, kCapacityShare * options.seconds);
   const double capacity_rps = static_cast<double>(capacity_done) /
                               SecondsBetween(capacity_start, Clock::now());
-  if (capacity_failed > 0) result.Fail("a closed-loop request failed");
+  const double cpu_ms_per_req = (ProcessCpuSeconds() - capacity_cpu0) * 1e3 /
+                                std::max<int64_t>(1, capacity_done);
+  if (warm_failed + capacity_failed > 0) {
+    result.Fail("a closed-loop request failed");
+  }
 
   // ---- The ladder: each rung warms at its rate, then is measured. -----
   // A traced run splits the low rung into an untraced and a traced half
@@ -588,36 +617,47 @@ RunResult RunServe(const RunOptions& options) {
                 " sampled forecasts differ from PredictEager");
   }
   std::string message;
-  const std::string key = "serve-207/seed" + std::to_string(options.seed) +
-                          "/s" + FormatNumber(options.seconds) +
-                          (options.trace ? "/traced" : "");
-  if (!CheckDigestAcrossRuns(options.digest_file, key, HexDigest(digest),
-                             &message)) {
+  if (!CheckDigestAcrossRuns(options.digest_file, DigestKey(options),
+                             HexDigest(digest), &message)) {
     result.Fail(message);
   } else {
     result.Note(message);
   }
-  result.attempted = attempted;
-  result.failed = failed + mismatched;
+  result.attempted = attempted + capacity_done + capacity_failed;
+  result.failed = failed + capacity_failed + mismatched;
 
   // ---- End-to-end metrics. -------------------------------------------
   const RungRun& low = runs[0];
-  int64_t completed = 0;
-  double ladder_s = 0.0;
   double max_rps_at_slo = 0.0;
   for (const RungRun& run : runs) {
-    completed += static_cast<int64_t>(run.phase.outcomes.size()) - run.failed;
-    ladder_s += SecondsBetween(run.phase.start, run.phase.last_ready);
     if (run.slo_met) max_rps_at_slo = run.rung->rate_rps;
   }
-  result.EndToEnd("setup_s", Median(setup_s), "s");
+  std::vector<double> low_service_ms;
+  for (const Outcome& o : low.phase.outcomes) {
+    low_service_ms.push_back(o.ok ? o.service_s * 1e3 : 1e12);
+  }
+  const Summary low_service = Summarize(low_service_ms, 99.0);
+  auto served = [](const RungRun& run) {
+    return static_cast<int64_t>(run.phase.outcomes.size()) - run.failed;
+  };
+  auto cpu_ms_per_request = [&](const RungRun& run) {
+    return run.phase.serving_cpu_s * 1e3 /
+           static_cast<double>(std::max<int64_t>(1, served(run)));
+  };
+  double ladder_cpu_s = 0.0;
+  int64_t ladder_served = 0;
+  for (const RungRun& run : runs) {
+    ladder_cpu_s += run.phase.serving_cpu_s;
+    ladder_served += served(run);
+  }
+  result.EndToEnd("setup_s", Median(setup.cpu_s), "s");
   result.EndToEnd("peak_rss_mb",
                   static_cast<double>(utils::PeakRssBytes()) / (1 << 20),
                   "MiB");
-  result.EndToEnd("p50_ms", low.latency.p50, "ms");
-  result.EndToEnd("throughput_per_s",
-                  static_cast<double>(completed) / std::max(1e-9, ladder_s),
-                  "1/s");
+  result.EndToEnd("cpu_ms_per_item",
+                  ladder_cpu_s * 1e3 /
+                      static_cast<double>(std::max<int64_t>(1, ladder_served)),
+                  "ms");
   result.EndToEnd("forecast_mae",
                   err_count > 0 ? abs_err / static_cast<double>(err_count)
                                 : 0.0,
@@ -633,25 +673,29 @@ RunResult RunServe(const RunOptions& options) {
         "serve-207 %s: %.0f rps open-loop Poisson for %.2f s%s: "
         "req_p50_ms.%s %.3f ms, req_p99_ms.%s %.3f ms (as p%.1f of n=%lld), "
         "max %.3f ms; failed %lld; SLO (tail <= %.0f ms, no growing "
-        "backlog, no failure) %s; generator late p50 %.3f ms, max %.3f ms",
+        "backlog, no failure) %s; generator late p50 %.3f ms, max %.3f ms; "
+        "serving CPU %.4f ms per request",
         run.rung->name, run.rung->rate_rps,
         SecondsBetween(run.phase.start, run.phase.last_ready),
         run.rung->publish_every_s > 0 ? " with publishes" : "",
         run.rung->name, run.latency.p50, run.rung->name, run.latency.tail,
         run.latency.tail_pct, static_cast<long long>(run.latency.count),
         run.latency.max, static_cast<long long>(run.failed), kSloMs,
-        run.slo_met ? "met" : "missed", late.p50, late.max);
+        run.slo_met ? "met" : "missed", late.p50, late.max,
+        cpu_ms_per_request(run));
     result.Note(line);
   }
   std::snprintf(line, sizeof(line),
-                "serve-207: max_rps_at_slo %.0f rps; closed-loop capacity "
-                "(%d clients) %.1f rps; set-up (FrozenModel::Load + "
-                "AddTenant) median %.4f s of %d (min %.4f, max %.4f); %lld "
+                "serve-207: max_rps_at_slo %.0f rps; low-rung service time "
+                "(submit to ready) p50 %.3f ms of n=%lld; closed-loop "
+                "capacity (%d clients, %.2f s) %.1f rps at %.4f CPU ms per "
+                "request; set-up (FrozenModel::Load + AddTenant + first "
+                "forecast) median %.4f s wall, %.4f s CPU of %d; %lld "
                 "sampled forecasts memcmp-equal to PredictEager",
-                max_rps_at_slo, kCapacityClients, capacity_rps,
-                Median(setup_s), kSetupRepeats,
-                *std::min_element(setup_s.begin(), setup_s.end()),
-                *std::max_element(setup_s.begin(), setup_s.end()),
+                max_rps_at_slo, low_service.p50,
+                static_cast<long long>(low_service.count), kCapacityClients,
+                kCapacityShare * options.seconds, capacity_rps, cpu_ms_per_req,
+                Median(setup.wall_s), Median(setup.cpu_s), kSetupRepeats,
                 static_cast<long long>(checked - mismatched));
   result.Note(line);
 

@@ -33,17 +33,13 @@ namespace {
 constexpr int64_t kNodes = 100000;
 constexpr double kTickPeriodS = 0.3;
 constexpr int64_t kSwapEvery = 20;
-constexpr int kSetupRepeats = 3;
+constexpr int kSetupRepeats = 9;
+constexpr double kSetupWarmupSeconds = 0.5;
 constexpr double kReadPeriodS = 0.002;
 constexpr int kReadsPerBlock = 64;
 // Weights of the two snapshots the stream swaps between. They belong to
 // the deployment, not to the inputs: only the frames depend on the seed.
 constexpr uint64_t kSnapshotSeeds[2] = {99, 100};
-// Kernel-pool threads, pinned so the run does the same work on any core
-// count. Two, not one per core: on a shared 4-vCPU VM a fork-join region
-// over every vCPU stalls whenever one of them is descheduled, and the
-// run-to-run spread with 4 threads was 2-3x that with 2.
-constexpr int64_t kKernelThreads = 2;
 // Standard deviation of the seeded sensor noise, in scaled units.
 constexpr double kSensorNoise = 0.1;
 
@@ -138,6 +134,9 @@ struct Tick {
   double start_lag_s = 0.0;
   double service_s = 0.0;
   double latency_s = 0.0;
+  /// Process CPU of the tick's SetModel and OnTick calls, less the
+  /// reader thread's CPU over the same interval.
+  double cpu_s = 0.0;
   bool incremental = false;
   bool published = false;
   int model = 0;  // which snapshot served it
@@ -153,7 +152,6 @@ struct Tick {
 
 struct StreamPhase {
   Clock::time_point start;
-  Clock::time_point last_publish;
   std::vector<Tick> ticks;
   std::vector<double> read_us;  // per-read time of each block
   int64_t reads = 0;
@@ -171,17 +169,18 @@ StreamPhase RunStreamPhase(
   const int64_t count = static_cast<int64_t>(std::floor(seconds / kTickPeriodS));
   phase.ticks.resize(count);
   phase.start = Clock::now() + std::chrono::milliseconds(5);
-  phase.last_publish = phase.start;
   const auto period = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(kTickPeriodS));
 
+  // The reader runs until the writer is done, so its CPU clock can be
+  // read at every tick.
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     const auto read_period = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(kReadPeriodS));
     for (int64_t b = 0;; ++b) {
       const auto due = phase.start + b * read_period;
-      if (stop.load() || due >= phase.start + count * period) break;
+      if (stop.load()) break;
       SleepUntil(due);
       ScopedSpan span("serve.forecast_cache.Read.block");
       int hits = 0;
@@ -195,6 +194,10 @@ StreamPhase RunStreamPhase(
       phase.hits += hits;
     }
   });
+  // Program CPU so far: the process's less the reader thread's.
+  auto program_cpu = [&] {
+    return ProcessCpuSeconds() - ThreadCpuSeconds(reader);
+  };
 
   for (int64_t k = 0; k < count; ++k) {
     Tick& tick = phase.ticks[k];
@@ -204,6 +207,7 @@ StreamPhase RunStreamPhase(
     const tensor::Tensor tod = FutureTod(frames, tick.last_frame, cfg.horizon);
     SleepUntil(tick.due);
     const auto t0 = Clock::now();
+    const double cpu0 = program_cpu();
     if (k > 0 && k % kSwapEvery == 0) {
       ScopedSpan span("serve.forecast_cache.TickStreamer.SetModel");
       *current = 1 - *current;
@@ -215,6 +219,7 @@ StreamPhase RunStreamPhase(
       ScopedSpan span("serve.forecast_cache.TickStreamer.OnTick", k);
       forecast = streamer.OnTick(frame, tod);
     }
+    tick.cpu_s = program_cpu() - cpu0;
     const auto t1 = Clock::now();
     tick.start_lag_s = SecondsBetween(tick.due, t0);
     tick.service_s = SecondsBetween(t0, t1);
@@ -241,15 +246,12 @@ StreamPhase RunStreamPhase(
         }
         tick.err_count += n;
       }
-      phase.last_publish = t1;
     }
   }
   stop.store(true);
   reader.join();
   return phase;
 }
-
-double Median(std::vector<double> v) { return Summarize(std::move(v), 50).p50; }
 
 }  // namespace
 
@@ -314,25 +316,27 @@ RunResult RunStream(const RunOptions& options) {
 
   // ---- Set-up: LoadMapped -> streamer -> first forecast published. -----
   std::vector<double> setup_s;
+  std::vector<double> setup_cpu_s;
   std::vector<double> load_ms;
   std::vector<double> first_full_ms;
   std::vector<double> first_inc_ms;
   std::shared_ptr<const serve::FrozenModel> models[2];
   std::unique_ptr<serve::ForecastCache> cache;
   std::unique_ptr<serve::TickStreamer> streamer;
-  // Rep 0 is an untimed warm-up (see TimeRepeated).
-  for (int rep = 0; rep <= kSetupRepeats; ++rep) {
-    const bool timed = rep > 0;
+  std::string setup_error;
+  const bool set_up = WarmThenRepeat(kSetupWarmupSeconds, kSetupRepeats,
+                                     [&](bool timed) {
     streamer.reset();
     cache.reset();
     models[0].reset();
     const auto t0 = Clock::now();
+    const double cpu0 = ProcessCpuSeconds();
     std::unique_ptr<serve::FrozenModel> mapped;
     const utils::Status status = serve::FrozenModel::LoadMapped(
         configs[0], SnapshotPath(options, 0), &mapped);
     if (!status.ok()) {
-      result.Fail("LoadMapped failed: " + status.ToString());
-      return result;
+      setup_error = "LoadMapped failed: " + status.ToString();
+      return false;
     }
     const double load = SecondsBetween(t0, Clock::now()) * 1e3;
     models[0] = std::move(mapped);
@@ -345,23 +349,30 @@ RunResult RunStream(const RunOptions& options) {
       first = streamer->OnTick(FrameTensor(frames, t), FutureTod(frames, t, f));
     }
     const auto t1 = Clock::now();
+    const double cpu1 = ProcessCpuSeconds();
     if (first == nullptr || first->incremental) {
-      result.Fail("the first forecast after warm-up was not a full encode");
-      return result;
+      setup_error = "the first forecast after warm-up was not a full encode";
+      return false;
     }
     const auto t2 = Clock::now();
     const auto second = streamer->OnTick(FrameTensor(frames, h),
                                          FutureTod(frames, h, f));
     if (timed) {
       setup_s.push_back(SecondsBetween(t0, t1));
+      setup_cpu_s.push_back(cpu1 - cpu0);
       load_ms.push_back(load);
       first_full_ms.push_back(SecondsBetween(before_first, t1) * 1e3);
       first_inc_ms.push_back(SecondsBetween(t2, Clock::now()) * 1e3);
     }
     if (second == nullptr || !second->incremental) {
-      result.Fail("the tick after the first forecast was not incremental");
-      return result;
+      setup_error = "the tick after the first forecast was not incremental";
+      return false;
     }
+    return true;
+  });
+  if (!set_up) {
+    result.Fail(setup_error);
+    return result;
   }
   {
     std::unique_ptr<serve::FrozenModel> mapped;
@@ -436,11 +447,8 @@ RunResult RunStream(const RunOptions& options) {
     result.Fail(std::to_string(unpublished) + " ticks published nothing");
   }
   std::string message;
-  const std::string key = "stream-100k/seed" + std::to_string(options.seed) +
-                          "/s" + FormatNumber(options.seconds) +
-                          (options.trace ? "/traced" : "");
-  if (!CheckDigestAcrossRuns(options.digest_file, key, HexDigest(digest),
-                             &message)) {
+  if (!CheckDigestAcrossRuns(options.digest_file, DigestKey(options),
+                             HexDigest(digest), &message)) {
     result.Fail(message);
   } else {
     result.Note(message);
@@ -450,19 +458,33 @@ RunResult RunStream(const RunOptions& options) {
 
   // ---- End-to-end metrics. -------------------------------------------
   std::vector<double> latency_ms;
-  for (const Tick& t : main.ticks) latency_ms.push_back(t.latency_s * 1e3);
+  std::vector<double> service_ms;
+  std::vector<double> inc_cpu_ms;
+  std::vector<double> full_cpu_ms;
+  double service_s = 0.0;
+  double tick_cpu_s = 0.0;
+  for (const Tick& t : main.ticks) {
+    latency_ms.push_back(t.latency_s * 1e3);
+    service_ms.push_back(t.service_s * 1e3);
+    service_s += t.service_s;
+    tick_cpu_s += t.cpu_s;
+    (t.incremental ? inc_cpu_ms : full_cpu_ms).push_back(t.cpu_s * 1e3);
+  }
   const Summary tick = Summarize(latency_ms, 90.0);
+  const Summary service = Summarize(service_ms, 90.0);
   const Summary reads = Summarize(main.read_us, 99.0);
-  const double wall =
-      std::max(1e-9, SecondsBetween(main.start, main.last_publish));
-  result.EndToEnd("setup_s", Median(setup_s), "s");
+  // The rate the streamer could sustain: published ticks over the time
+  // OnTick spent on them (the schedule's idle gaps left out).
+  const double sustainable_per_s =
+      static_cast<double>(main.ticks.size() - unpublished) /
+      std::max(1e-9, service_s);
+  result.EndToEnd("setup_s", Median(setup_cpu_s), "s");
   result.EndToEnd("peak_rss_mb",
                   static_cast<double>(utils::PeakRssBytes()) / (1 << 20),
                   "MiB");
-  result.EndToEnd("p50_ms", tick.p50, "ms");
-  result.EndToEnd("throughput_per_s",
-                  static_cast<double>(main.ticks.size() - unpublished) / wall,
-                  "1/s");
+  const size_t ticks = std::max<size_t>(1, main.ticks.size());
+  result.EndToEnd("cpu_ms_per_item",
+                  tick_cpu_s * 1e3 / static_cast<double>(ticks), "ms");
   result.EndToEnd("forecast_mae",
                   err_count > 0 ? abs_err / static_cast<double>(err_count)
                                 : 0.0,
@@ -473,21 +495,29 @@ RunResult RunStream(const RunOptions& options) {
                 "stream-100k: %lld ticks every %.0f ms open-loop, swap every "
                 "%lld ticks (%lld swaps); tick latency from due time: "
                 "tick_p50_ms %.3f ms, tick_p90_ms %.3f ms (as p%.1f of "
-                "n=%lld), max %.3f ms",
+                "n=%lld), max %.3f ms; OnTick service time p50 %.3f ms, "
+                "p%.1f %.3f ms; sustainable %.3f ticks/s (offered %.3f); "
+                "CPU per tick p50 %.3f ms incremental (n=%lld), %.3f ms full "
+                "(n=%lld)",
                 static_cast<long long>(main.ticks.size()), kTickPeriodS * 1e3,
                 static_cast<long long>(kSwapEvery),
                 static_cast<long long>(main.swaps), tick.p50, tick.tail,
-                tick.tail_pct, static_cast<long long>(tick.count), tick.max);
+                tick.tail_pct, static_cast<long long>(tick.count), tick.max,
+                service.p50, service.tail_pct, service.tail, sustainable_per_s,
+                1.0 / kTickPeriodS, Median(inc_cpu_ms),
+                static_cast<long long>(inc_cpu_ms.size()), Median(full_cpu_ms),
+                static_cast<long long>(full_cpu_ms.size()));
   result.Note(line);
   std::snprintf(line, sizeof(line),
                 "stream-100k: cached read (blocks of %d) p50 %.4f us, "
                 "read_p99_us %.4f us (as p%.1f of n=%lld blocks); set-up "
-                "(LoadMapped -> first "
-                "forecast) median %.4f s of %d; %lld checked ticks "
-                "memcmp-equal to their reference",
+                "(LoadMapped -> first forecast) median %.4f s wall, %.4f s "
+                "CPU of %d; %lld checked ticks memcmp-equal to their "
+                "reference",
                 kReadsPerBlock, reads.p50, reads.tail, reads.tail_pct,
                 static_cast<long long>(reads.count), Median(setup_s),
-                kSetupRepeats, static_cast<long long>(checked - mismatched));
+                Median(setup_cpu_s), kSetupRepeats,
+                static_cast<long long>(checked - mismatched));
   result.Note(line);
 
   if (!options.trace) return result;

@@ -36,11 +36,6 @@ constexpr int64_t kEvalBatches = 2;
 constexpr int kSetupRepeats = 9;
 constexpr double kWarmupSeconds = 1.0;
 constexpr double kLearningRate = 0.01;
-// Kernel-pool threads, pinned so the run does the same work on any core
-// count. Two, not one per core: on a shared 4-vCPU VM a fork-join region
-// over every vCPU stalls whenever one of them is descheduled, and the
-// run-to-run spread with 4 threads was 2-3x that with 2.
-constexpr int64_t kKernelThreads = 2;
 
 // bench_common's quick sizing with its default seed: the initial weights
 // are the same for every run; the seed orders the training windows.
@@ -124,8 +119,6 @@ uint64_t ParameterDigest(const nn::Module& module) {
   }
   return digest;
 }
-
-double Median(std::vector<double> v) { return Summarize(std::move(v), 50).p50; }
 
 /// Sums of the program's own obs timers (seconds) under `names`.
 std::map<std::string, double> TimerTotals(const std::vector<std::string>& names) {
@@ -222,7 +215,7 @@ RunResult RunTrain(const RunOptions& options) {
   std::unique_ptr<core::SagdfnModel> model;
   std::unique_ptr<StepClock> clock;
   std::unique_ptr<core::Trainer> trainer;
-  const std::vector<double> setup_s =
+  const Timings setup =
       TimeRepeated(kWarmupSeconds, kSetupRepeats, [&] {
         trainer.reset();
         clock.reset();
@@ -246,12 +239,15 @@ RunResult RunTrain(const RunOptions& options) {
   double ckpt_ms = 0.0;
   core::TrainResult trained;
   double wall = 0.0;
+  double train_cpu_s = 0.0;
 
   if (!options.trace) {
     // ---- Measured: one Trainer::Train. -----------------------------------
     const auto t0 = Clock::now();
+    const double cpu0 = ProcessCpuSeconds();
     trained = trainer->Train();
     wall = SecondsBetween(t0, Clock::now());
+    train_cpu_s = ProcessCpuSeconds() - cpu0;
   } else {
     // ---- Traced: the same steps through the public calls Trainer makes;
     // epoch 1 untraced, epoch 2 traced with obs collection on. -----------
@@ -313,11 +309,8 @@ RunResult RunTrain(const RunOptions& options) {
   uint64_t digest = ParameterDigest(*model);
   digest = Fnv1a(&val_mae, sizeof(val_mae), digest);
   std::string message;
-  const std::string key = "train-2000/seed" + std::to_string(options.seed) +
-                          "/s" + FormatNumber(options.seconds) +
-                          (options.trace ? "/traced" : "");
-  if (!CheckDigestAcrossRuns(options.digest_file, key, HexDigest(digest),
-                             &message)) {
+  if (!CheckDigestAcrossRuns(options.digest_file, DigestKey(options),
+                             HexDigest(digest), &message)) {
     result.Fail(message);
   } else {
     result.Note(message);
@@ -328,27 +321,27 @@ RunResult RunTrain(const RunOptions& options) {
   char line[512];
   if (!options.trace) {
     const Summary steps = Summarize(clock->step_ms(), 90.0);
-    result.EndToEnd("setup_s", Median(setup_s), "s");
+    result.EndToEnd("setup_s", Median(setup.cpu_s), "s");
     result.EndToEnd("peak_rss_mb",
                     static_cast<double>(utils::PeakRssBytes()) / (1 << 20),
                     "MiB");
-    result.EndToEnd("p50_ms", steps.p50, "ms");
-    result.EndToEnd("throughput_per_s",
-                    static_cast<double>(planned * kBatch) / wall, "1/s");
+    result.EndToEnd("cpu_ms_per_item",
+                    train_cpu_s * 1e3 / static_cast<double>(planned * kBatch),
+                    "ms");
     result.EndToEnd("forecast_mae", val_mae, "units");
     std::snprintf(line, sizeof(line),
                   "train-2000: Trainer::Train %lld epochs x %lld batches of "
                   "%lld on %lld nodes in %.3f s: train_windows_per_s %.3f "
                   "(validation and checkpoints included); step p50 %.3f ms "
                   "(n=%lld), max %.3f ms; val_mae %.6f; set-up median %.4f s "
-                  "of %d",
+                  "wall, %.4f s CPU of %d",
                   static_cast<long long>(kEpochs),
                   static_cast<long long>(batches),
                   static_cast<long long>(kBatch),
                   static_cast<long long>(dataset->num_nodes()), wall,
                   static_cast<double>(planned * kBatch) / wall, steps.p50,
                   static_cast<long long>(steps.count), steps.max, val_mae,
-                  Median(setup_s), kSetupRepeats);
+                  Median(setup.wall_s), Median(setup.cpu_s), kSetupRepeats);
     result.Note(line);
     return result;
   }

@@ -145,6 +145,37 @@ TEST(Digest, CrossRunCheck) {
   std::filesystem::remove(path);
 }
 
+TEST(Digest, KeyedBySourceIdentity) {
+  RunOptions a;
+  a.workload = "serve-207";
+  a.seed = 3;
+  a.seconds = 15;
+  a.source_id = "0123abcd";
+  RunOptions b = a;
+  b.source_id = "4567ef01";
+  EXPECT_EQ(DigestKey(a), "0123abcd/serve-207/seed3/s15");
+  EXPECT_NE(DigestKey(a), DigestKey(b));
+  b = a;
+  b.trace = true;
+  EXPECT_EQ(DigestKey(b), "0123abcd/serve-207/seed3/s15/traced");
+}
+
+TEST(WarmThenRepeat, WarmsThenRecordsOnlyTimedCalls) {
+  int warm = 0;
+  int timed = 0;
+  EXPECT_TRUE(WarmThenRepeat(0.0, 4, [&](bool t) {
+    ++(t ? timed : warm);
+    return true;
+  }));
+  EXPECT_EQ(warm, 1);
+  EXPECT_EQ(timed, 4);
+  const Timings timings = TimeRepeated(0.0, 3, [] { return true; });
+  EXPECT_EQ(timings.wall_s.size(), 3u);
+  EXPECT_EQ(timings.cpu_s.size(), 3u);
+  int calls = 0;
+  EXPECT_TRUE(TimeRepeated(0.0, 3, [&] { return ++calls < 3; }).wall_s.empty());
+}
+
 TEST(Tracer, SelfTimeSubtractsChildren) {
   Tracer::Clear();
   Tracer::SetEnabled(true);
@@ -171,7 +202,7 @@ TEST(Tracer, SelfTimeSubtractsChildren) {
 
 TEST(Metrics, CanonicalOrderAndZeroFill) {
   RunResult r;
-  r.EndToEnd("p50_ms", 1.5, "ms");
+  r.EndToEnd("cpu_ms_per_item", 1.5, "ms");
   r.EndToEnd("setup_s", 0.25, "s");
   Canonicalize(&r);
   EXPECT_TRUE(r.correct);
