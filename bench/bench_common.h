@@ -1,8 +1,6 @@
 #ifndef SAGDFN_BENCH_BENCH_COMMON_H_
 #define SAGDFN_BENCH_BENCH_COMMON_H_
 
-#include <algorithm>
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -12,29 +10,15 @@
 #include "metrics/metrics.h"
 #include "obs/telemetry.h"
 #include "utils/cli.h"
+#include "utils/percentile.h"
 #include "utils/string_util.h"
 #include "utils/table_printer.h"
 
 namespace sagdfn::bench {
 
-/// Unbiased percentile of an ALREADY-SORTED ascending sample: linear
-/// interpolation at rank pct/100 * (n-1) (the quantile estimator R-7 /
-/// numpy.percentile default). Shared by every bench that reports
-/// latency percentiles (bench_serve, bench_rollout) so their numbers
-/// agree; callers sort once per scenario and query as many percentiles
-/// as they need. A 2-sample p50 returns the midpoint — the previous
-/// per-bench helpers added +0.5 to the index, which systematically
-/// overshot (a 2-sample p50 returned the max).
-inline double PercentileSorted(const std::vector<double>& sorted, double pct) {
-  if (sorted.empty()) return 0.0;
-  const double rank =
-      std::clamp(pct, 0.0, 100.0) / 100.0 *
-      static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
+/// The shared R-7 percentile (utils/percentile.h). Callers sort once per
+/// scenario and query as many percentiles as they need.
+using utils::PercentileSorted;
 
 /// Scoped bench telemetry: enables obs collection for the process (so the
 /// sns/ssma/gconv scoped timers and the per-model fit/inference records

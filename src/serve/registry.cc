@@ -14,6 +14,7 @@
 #include "utils/check.h"
 #include "utils/fault.h"
 #include "utils/logging.h"
+#include "utils/percentile.h"
 
 namespace sagdfn::serve {
 
@@ -407,18 +408,11 @@ uint64_t ModelRegistry::Fingerprint(const std::string& path) {
 }
 
 double ModelRegistry::P99Us(const std::deque<double>& samples_us) {
-  if (samples_us.empty()) return 0.0;
   std::vector<double> sorted(samples_us.begin(), samples_us.end());
   std::sort(sorted.begin(), sorted.end());
-  // Unbiased linear interpolation at rank 0.99 * (n-1) — the same
-  // estimator as bench::PercentileSorted. The former +0.5 index bias
-  // returned the sample max for small probation windows, making the
-  // relative-p99 health probe trip on a single outlier batch.
-  const double rank = 0.99 * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+  // Unbiased R-7: small probation windows must not read as their sample
+  // max, or the relative-p99 probe trips on a single outlier batch.
+  return utils::PercentileSorted(sorted, 99.0);
 }
 
 RegistryStats ModelRegistry::stats() const {

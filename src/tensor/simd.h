@@ -16,10 +16,14 @@ namespace sagdfn::tensor::simd {
 ///   SAGDFN_SIMD=auto   CPUID detection (the default)
 ///
 /// Determinism contract (DESIGN.md §5f): for a FIXED level, every kernel
-/// is bit-identical across thread counts and runs. Levels agree with each
-/// other to tight tolerance (FMA contraction and vectorized exp/tanh/
-/// sigmoid round differently than libm), which the `simd`-labeled test
-/// suite pins.
+/// is bit-identical across thread counts, runs, and an element's offset
+/// within the call. The kAvx2 table overrides only the 15 entries whose
+/// AVX2 body changes speed or bits (vectorized exp/sigmoid/tanh and the
+/// GRU fusions on them, FMA-fused axpy/gru_blend, four backward kernels
+/// whose rounding differs, the dot/sum/masked_err reductions); the other
+/// 25 are the scalar functions. Levels agree with each other to tight
+/// tolerance, which the `simd`-labeled test suite pins. The scalar level
+/// is the reference those tests compare against.
 enum class Level {
   kScalar = 0,
   kAvx2 = 1,
@@ -57,7 +61,8 @@ struct MaskedErrAcc {
 /// Dispatch table of contiguous-array kernels. One table per Level; all
 /// entries are non-null. Pointers operate on raw float arrays — callers
 /// (tensor_ops, autograd backwards, metrics, optim) own the slicing,
-/// broadcasting, and parallel partitioning.
+/// broadcasting, and parallel partitioning. vmax/vmin/max_s/min_s compute
+/// exactly std::max(a, b) / std::min(a, b), NaN and ±0 order included.
 struct Kernels {
   // -- Elementwise binary: o[i] = a[i] OP b[i] ------------------------------
   void (*add)(const float* a, const float* b, float* o, int64_t n);

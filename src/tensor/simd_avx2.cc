@@ -1,7 +1,21 @@
 // AVX2+FMA kernel table. This translation unit is compiled with
 // -mavx2 -mfma (see src/tensor/CMakeLists.txt) and must only be CALLED
 // after runtime CPUID detection confirms support — simd.cc guarantees
-// that. Every elementwise kernel computes each output element with the
+// that.
+//
+// The table starts as a copy of the scalar table and overrides only the
+// entries whose AVX2 body changes speed or bits (DESIGN.md §5f):
+//   - transcendental or FMA-fused: vexp, sigmoid, vtanh, sigmoid_mul,
+//     gru_tail, gru_step, gru_blend, axpy;
+//   - bits differ from scalar: sigmoid_grad (association), tanh_grad
+//     (fnmadd), gru_tail_grad and gru_step_grad (GCC contracts their
+//     `1 - t*t` into an FMA under -mfma, lanes and tails alike);
+//   - lane-order reductions: dot, sum, masked_err.
+// Every other entry is a single IEEE operation per element that the
+// compiler vectorizes as well from the scalar loop, so it keeps the
+// scalar function pointer and the scalar bits.
+//
+// Every elementwise kernel here computes each output element with the
 // same instruction sequence regardless of its offset within the call's
 // range: partial tails either run the lane kernel on a zero-padded
 // block (exp/sigmoid/tanh, see Tail8) or a scalar expression with the
@@ -125,169 +139,6 @@ inline void Tail8(Fn fn, const float* a, float* o, int64_t rem) {
   for (int64_t k = 0; k < rem; ++k) o[k] = out[k];
 }
 
-// ---------------------------------------------------------------------------
-// Lane+tail loop helpers: each kernel body is expressed once over lanes
-// (8 floats) and once over scalars, via small op structs.
-// ---------------------------------------------------------------------------
-
-struct AddOp {
-  static __m256 V(__m256 a, __m256 b) { return _mm256_add_ps(a, b); }
-  static float S(float a, float b) { return a + b; }
-};
-struct SubOp {
-  static __m256 V(__m256 a, __m256 b) { return _mm256_sub_ps(a, b); }
-  static float S(float a, float b) { return a - b; }
-};
-struct MulOp {
-  static __m256 V(__m256 a, __m256 b) { return _mm256_mul_ps(a, b); }
-  static float S(float a, float b) { return a * b; }
-};
-struct DivOp {
-  static __m256 V(__m256 a, __m256 b) { return _mm256_div_ps(a, b); }
-  static float S(float a, float b) { return a / b; }
-};
-struct MaxOp {
-  static __m256 V(__m256 a, __m256 b) { return _mm256_max_ps(b, a); }
-  static float S(float a, float b) { return a > b ? a : b; }
-};
-struct MinOp {
-  static __m256 V(__m256 a, __m256 b) { return _mm256_min_ps(b, a); }
-  static float S(float a, float b) { return a < b ? a : b; }
-};
-
-template <typename Op>
-void BinaryVV(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, Op::V(_mm256_loadu_ps(a + i),
-                                  _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) o[i] = Op::S(a[i], b[i]);
-}
-
-/// o[i] = a[i] OP s
-template <typename Op>
-void BinaryVS(const float* a, float s, float* o, int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, Op::V(_mm256_loadu_ps(a + i), vs));
-  }
-  for (; i < n; ++i) o[i] = Op::S(a[i], s);
-}
-
-/// o[i] = s OP a[i]
-template <typename Op>
-void BinarySV(const float* a, float s, float* o, int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, Op::V(vs, _mm256_loadu_ps(a + i)));
-  }
-  for (; i < n; ++i) o[i] = Op::S(s, a[i]);
-}
-
-// ---------------------------------------------------------------------------
-// Kernel entry points
-// ---------------------------------------------------------------------------
-
-void Add(const float* a, const float* b, float* o, int64_t n) {
-  BinaryVV<AddOp>(a, b, o, n);
-}
-void Sub(const float* a, const float* b, float* o, int64_t n) {
-  BinaryVV<SubOp>(a, b, o, n);
-}
-void Mul(const float* a, const float* b, float* o, int64_t n) {
-  BinaryVV<MulOp>(a, b, o, n);
-}
-void Div(const float* a, const float* b, float* o, int64_t n) {
-  BinaryVV<DivOp>(a, b, o, n);
-}
-void VMax(const float* a, const float* b, float* o, int64_t n) {
-  BinaryVV<MaxOp>(a, b, o, n);
-}
-void VMin(const float* a, const float* b, float* o, int64_t n) {
-  BinaryVV<MinOp>(a, b, o, n);
-}
-
-void AddS(const float* a, float s, float* o, int64_t n) {
-  BinaryVS<AddOp>(a, s, o, n);
-}
-void SubS(const float* a, float s, float* o, int64_t n) {
-  BinaryVS<SubOp>(a, s, o, n);
-}
-void RSubS(const float* a, float s, float* o, int64_t n) {
-  BinarySV<SubOp>(a, s, o, n);
-}
-void MulS(const float* a, float s, float* o, int64_t n) {
-  BinaryVS<MulOp>(a, s, o, n);
-}
-void DivS(const float* a, float s, float* o, int64_t n) {
-  BinaryVS<DivOp>(a, s, o, n);
-}
-void RDivS(const float* a, float s, float* o, int64_t n) {
-  BinarySV<DivOp>(a, s, o, n);
-}
-void MaxS(const float* a, float s, float* o, int64_t n) {
-  BinaryVS<MaxOp>(a, s, o, n);
-}
-void MinS(const float* a, float s, float* o, int64_t n) {
-  BinaryVS<MinOp>(a, s, o, n);
-}
-
-void AccAdd(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i),
-                                            _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-void MaxInto(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // max(dst, src): second operand wins on NaN, matching `src > dst`.
-    _mm256_storeu_ps(dst + i, _mm256_max_ps(_mm256_loadu_ps(src + i),
-                                            _mm256_loadu_ps(dst + i)));
-  }
-  for (; i < n; ++i) {
-    if (src[i] > dst[i]) dst[i] = src[i];
-  }
-}
-
-void Neg(const float* a, float* o, int64_t n) {
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, _mm256_xor_ps(_mm256_loadu_ps(a + i), sign));
-  }
-  for (; i < n; ++i) o[i] = -a[i];
-}
-void VAbs(const float* a, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, AbsPs(_mm256_loadu_ps(a + i)));
-  }
-  for (; i < n; ++i) o[i] = std::fabs(a[i]);
-}
-void Relu(const float* a, float* o, int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 x = _mm256_loadu_ps(a + i);
-    // x > 0 ? x : 0 (a NaN lane yields 0, matching the scalar branch).
-    const __m256 mask = _mm256_cmp_ps(x, zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(o + i, _mm256_and_ps(x, mask));
-  }
-  for (; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-void VSqrt(const float* a, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(o + i, _mm256_sqrt_ps(_mm256_loadu_ps(a + i)));
-  }
-  for (; i < n; ++i) o[i] = std::sqrt(a[i]);
-}
 void VExp(const float* a, float* o, int64_t n) {
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -334,35 +185,6 @@ void TanhGrad(const float* g, const float* out, float* o, int64_t n) {
   // std::fma mirrors the lanes' fnmadd rounding (one rounding, not two).
   for (; i < n; ++i) o[i] = g[i] * std::fma(-out[i], out[i], 1.0f);
 }
-void ReluGrad(const float* g, const float* x, float* o, int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 mask =
-        _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(o + i, _mm256_and_ps(_mm256_loadu_ps(g + i), mask));
-  }
-  for (; i < n; ++i) o[i] = x[i] > 0.0f ? g[i] : 0.0f;
-}
-void MulSub(const float* g, const float* a, const float* b, float* o,
-            int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 d =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    _mm256_storeu_ps(o + i, _mm256_mul_ps(_mm256_loadu_ps(g + i), d));
-  }
-  for (; i < n; ++i) o[i] = g[i] * (a[i] - b[i]);
-}
-void MulOneMinus(const float* g, const float* z, float* o, int64_t n) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 d = _mm256_sub_ps(one, _mm256_loadu_ps(z + i));
-    _mm256_storeu_ps(o + i, _mm256_mul_ps(_mm256_loadu_ps(g + i), d));
-  }
-  for (; i < n; ++i) o[i] = g[i] * (1.0f - z[i]);
-}
 
 void Axpy(float a, const float* x, float* dst, int64_t n) {
   const __m256 va = _mm256_set1_ps(a);
@@ -373,14 +195,6 @@ void Axpy(float a, const float* x, float* dst, int64_t n) {
                                      _mm256_loadu_ps(dst + i)));
   }
   for (; i < n; ++i) dst[i] = std::fma(a, x[i], dst[i]);
-}
-void Scale(float* dst, float s, int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(dst + i), vs));
-  }
-  for (; i < n; ++i) dst[i] *= s;
 }
 
 /// Sums the four doubles of `v` in fixed lane order.
@@ -500,26 +314,6 @@ void GruTail(const float* gz, const float* h, const float* c, float* o,
     const __m256 blended = _mm256_fmadd_ps(
         z, PadLoad(h + i, rem), _mm256_mul_ps(_mm256_sub_ps(one, z), t));
     PadStore(o + i, blended, rem);
-  }
-}
-
-void SigmoidMulGrad(const float* gh, const float* r, const float* h,
-                    float* dg, float* dh, int64_t n) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vg = _mm256_loadu_ps(gh + i);
-    const __m256 vr = _mm256_loadu_ps(r + i);
-    const __m256 ds = _mm256_mul_ps(vr, _mm256_sub_ps(one, vr));
-    _mm256_storeu_ps(
-        dg + i,
-        _mm256_mul_ps(_mm256_mul_ps(vg, _mm256_loadu_ps(h + i)), ds));
-    _mm256_storeu_ps(dh + i, _mm256_mul_ps(vg, vr));
-  }
-  // Same association as the lanes: (g*h) * (r*(1-r)).
-  for (; i < n; ++i) {
-    dg[i] = (gh[i] * h[i]) * (r[i] * (1.0f - r[i]));
-    dh[i] = gh[i] * r[i];
   }
 }
 
@@ -695,48 +489,25 @@ MaskedErrAcc MaskedErr(const float* pred, const float* truth, int64_t n,
 bool Avx2CompiledIn() { return true; }
 
 const Kernels& Avx2Kernels() {
-  static const Kernels table = {
-      .add = Add,
-      .sub = Sub,
-      .mul = Mul,
-      .div = Div,
-      .vmax = VMax,
-      .vmin = VMin,
-      .add_s = AddS,
-      .sub_s = SubS,
-      .rsub_s = RSubS,
-      .mul_s = MulS,
-      .div_s = DivS,
-      .rdiv_s = RDivS,
-      .max_s = MaxS,
-      .min_s = MinS,
-      .acc_add = AccAdd,
-      .max_into = MaxInto,
-      .neg = Neg,
-      .vabs = VAbs,
-      .relu = Relu,
-      .vsqrt = VSqrt,
-      .vexp = VExp,
-      .sigmoid = Sigmoid,
-      .vtanh = VTanh,
-      .sigmoid_grad = SigmoidGrad,
-      .tanh_grad = TanhGrad,
-      .relu_grad = ReluGrad,
-      .mul_sub = MulSub,
-      .mul_one_minus = MulOneMinus,
-      .axpy = Axpy,
-      .scale = Scale,
-      .dot = Dot,
-      .sum = Sum,
-      .gru_blend = GruBlend,
-      .sigmoid_mul = SigmoidMul,
-      .gru_tail = GruTail,
-      .sigmoid_mul_grad = SigmoidMulGrad,
-      .gru_tail_grad = GruTailGrad,
-      .gru_step = GruStep,
-      .gru_step_grad = GruStepGrad,
-      .masked_err = MaskedErr,
-  };
+  static const Kernels table = [] {
+    Kernels k = ScalarKernels();
+    k.vexp = VExp;
+    k.sigmoid = Sigmoid;
+    k.vtanh = VTanh;
+    k.sigmoid_grad = SigmoidGrad;
+    k.tanh_grad = TanhGrad;
+    k.axpy = Axpy;
+    k.dot = Dot;
+    k.sum = Sum;
+    k.gru_blend = GruBlend;
+    k.sigmoid_mul = SigmoidMul;
+    k.gru_tail = GruTail;
+    k.gru_tail_grad = GruTailGrad;
+    k.gru_step = GruStep;
+    k.gru_step_grad = GruStepGrad;
+    k.masked_err = MaskedErr;
+    return k;
+  }();
   return table;
 }
 

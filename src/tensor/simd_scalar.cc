@@ -3,6 +3,7 @@
 // are deliberately simple — the compiler may auto-vectorize them, but the
 // accumulation orders are fixed, so results are bit-identical run to run
 // and thread count to thread count.
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/simd_internal.h"
@@ -23,10 +24,10 @@ void Div(const float* a, const float* b, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] / b[i];
 }
 void VMax(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > b[i] ? a[i] : b[i];
+  for (int64_t i = 0; i < n; ++i) o[i] = std::max(a[i], b[i]);
 }
 void VMin(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] < b[i] ? a[i] : b[i];
+  for (int64_t i = 0; i < n; ++i) o[i] = std::min(a[i], b[i]);
 }
 
 void AddS(const float* a, float s, float* o, int64_t n) {
@@ -48,10 +49,10 @@ void RDivS(const float* a, float s, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = s / a[i];
 }
 void MaxS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > s ? a[i] : s;
+  for (int64_t i = 0; i < n; ++i) o[i] = std::max(a[i], s);
 }
 void MinS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] < s ? a[i] : s;
+  for (int64_t i = 0; i < n; ++i) o[i] = std::min(a[i], s);
 }
 
 void AccAdd(float* dst, const float* src, int64_t n) {

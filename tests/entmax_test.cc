@@ -219,11 +219,17 @@ TEST(EntmaxTest, InvalidAlphaDies) {
 }
 
 // Property: simplex + sparsity-monotonicity across alpha / shape sweeps.
+// gtest names each case after the raw bytes of its parameter, so the
+// padding after `alpha` is an explicit zero field: left uninitialised it
+// made the test names change from build to build.
 struct EntmaxCase {
+  EntmaxCase(float a, int64_t r, int64_t c) : alpha(a), rows(r), cols(c) {}
   float alpha;
+  int32_t pad = 0;
   int64_t rows;
   int64_t cols;
 };
+static_assert(sizeof(EntmaxCase) == 24, "EntmaxCase must have no padding");
 
 class EntmaxProperty : public ::testing::TestWithParam<EntmaxCase> {};
 

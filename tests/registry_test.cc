@@ -169,7 +169,11 @@ TEST(RegistryTest, SerialSwapServesOldThenNewBytes) {
   options.max_batch = 4;
   options.max_wait_us = 100;
   InferenceEngine engine(model_a, options);
-  ModelRegistry registry(&engine, RegistryOptions{});
+  // Bytes are the claim here; the wall-clock relative-p99 probe would
+  // roll back to model A whenever a loaded machine stalls one batch.
+  RegistryOptions registry_options;
+  registry_options.p99_regression_factor = 0.0;
+  ModelRegistry registry(&engine, registry_options);
 
   for (size_t i = 0; i < requests.size(); ++i) {
     Forecast forecast =
@@ -213,7 +217,11 @@ TEST(RegistryTest, ConcurrentSubmittersAcrossSwapAllCompleteExactly) {
   options.max_batch = 4;
   options.max_wait_us = 200;
   InferenceEngine engine(model_a, options);
-  ModelRegistry registry(&engine, RegistryOptions{});
+  // Bytes are the claim here; the wall-clock relative-p99 probe would
+  // roll back to model A whenever a loaded machine stalls one batch.
+  RegistryOptions registry_options;
+  registry_options.p99_regression_factor = 0.0;
+  ModelRegistry registry(&engine, registry_options);
 
   std::vector<std::future<Forecast>> futures(requests.size());
   std::vector<std::thread> clients;

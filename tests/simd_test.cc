@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -339,6 +340,76 @@ TEST(SimdKernelTest, MaskedErrNanTruthFollowsScalarConvention) {
   EXPECT_TRUE(std::isnan(v.abs));
   EXPECT_TRUE(std::isnan(s.abs));
   EXPECT_NEAR(v.ape, s.ape, 1e-12);
+}
+
+/// Random values with NaN of both signs and ±0 sprinkled in.
+std::vector<float> NanAndZeroVec(int64_t n, uint64_t seed) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {nan, -nan, 0.0f, -0.0f};
+  auto v = RandomVec(n, seed);
+  utils::Rng rng(seed + 1);
+  for (auto& x : v) {
+    if (rng.Bernoulli(0.5)) x = specials[rng.UniformInt(4)];
+  }
+  return v;
+}
+
+bool SameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(SimdKernelTest, MaxMinFollowStdMaxMinOnNanAndSignedZero) {
+  // vmax/vmin/max_s/min_s answer std::max(a, b) / std::min(a, b) exactly,
+  // at every level and wherever an element falls in the call's range —
+  // the order Maximum/Minimum's general-broadcast fallback uses.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  using BinVV = void (*)(const float*, const float*, float*, int64_t);
+  using BinVS = void (*)(const float*, float, float*, int64_t);
+  for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    if (level == simd::Level::kAvx2 && !simd::Avx2Available()) continue;
+    const auto& k = simd::KernelsFor(level);
+    for (int64_t n : kAwkwardLengths) {
+      const auto a = NanAndZeroVec(n, 1400 + n);
+      const auto b = NanAndZeroVec(n, 1500 + n);
+      const int64_t split = (n / 2) | 1;  // odd, off the lane grid
+      std::vector<float> o(n), parts(n);
+      for (auto [kernel, is_max] :
+           std::vector<std::pair<BinVV, bool>>{{k.vmax, true},
+                                               {k.vmin, false}}) {
+        kernel(a.data(), b.data(), o.data(), n);
+        for (int64_t i = 0; i < n; ++i) {
+          const float want =
+              is_max ? std::max(a[i], b[i]) : std::min(a[i], b[i]);
+          ASSERT_TRUE(SameBits(o[i], want))
+              << simd::LevelName(level) << (is_max ? " vmax" : " vmin")
+              << " n=" << n << " i=" << i << ": " << a[i] << ", " << b[i]
+              << " -> " << o[i];
+        }
+        kernel(a.data(), b.data(), parts.data(), split);
+        kernel(a.data() + split, b.data() + split, parts.data() + split,
+               n - split);
+        EXPECT_EQ(0, std::memcmp(o.data(), parts.data(), sizeof(float) * n));
+      }
+      for (float s : {nan, -nan, 0.0f, -0.0f, 1.5f}) {
+        for (auto [kernel, is_max] :
+             std::vector<std::pair<BinVS, bool>>{{k.max_s, true},
+                                                 {k.min_s, false}}) {
+          kernel(a.data(), s, o.data(), n);
+          for (int64_t i = 0; i < n; ++i) {
+            const float want = is_max ? std::max(a[i], s) : std::min(a[i], s);
+            ASSERT_TRUE(SameBits(o[i], want))
+                << simd::LevelName(level) << (is_max ? " max_s" : " min_s")
+                << " n=" << n << " i=" << i << ": " << a[i] << ", " << s
+                << " -> " << o[i];
+          }
+          kernel(a.data(), s, parts.data(), split);
+          kernel(a.data() + split, s, parts.data() + split, n - split);
+          EXPECT_EQ(0,
+                    std::memcmp(o.data(), parts.data(), sizeof(float) * n));
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

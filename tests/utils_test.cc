@@ -7,6 +7,7 @@
 #include "utils/cli.h"
 #include "utils/memory_info.h"
 #include "utils/parallel.h"
+#include "utils/percentile.h"
 #include "utils/rng.h"
 #include "utils/status.h"
 #include "utils/string_util.h"
@@ -93,6 +94,21 @@ TEST(RngTest, NormalMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.03);
   EXPECT_NEAR(sq / n, 1.0, 0.05);
+}
+
+TEST(PercentileTest, SortedR7Interpolation) {
+  EXPECT_EQ(PercentileSorted({}, 50.0), 0.0);
+  EXPECT_EQ(PercentileSorted({7.0}, 99.0), 7.0);
+  // Two samples: p50 is the midpoint, not the max.
+  EXPECT_EQ(PercentileSorted({1.0, 3.0}, 50.0), 2.0);
+  // pct is clamped to [0, 100].
+  EXPECT_EQ(PercentileSorted({1.0, 3.0}, -5.0), 1.0);
+  EXPECT_EQ(PercentileSorted({1.0, 3.0}, 250.0), 3.0);
+  std::vector<double> one_to_hundred(100);
+  for (int i = 0; i < 100; ++i) one_to_hundred[i] = i + 1;
+  // Rank 0.99 * 99 = 98.01 -> 99 + 0.01 * (100 - 99).
+  EXPECT_DOUBLE_EQ(PercentileSorted(one_to_hundred, 99.0), 99.01);
+  EXPECT_DOUBLE_EQ(PercentileSorted(one_to_hundred, 50.0), 50.5);
 }
 
 TEST(StatusTest, OkAndError) {
