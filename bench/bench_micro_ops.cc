@@ -300,7 +300,7 @@ constexpr int64_t kSimdBenchLen = 65536;
 /// per-iteration seconds under "simd.<name>.<level>".
 template <typename Body>
 void RunSimdKernelBench(benchmark::State& state, const char* name,
-                        Body&& body) {
+                        Body&& body, int64_t items = kSimdBenchLen) {
   const auto level = static_cast<tensor::simd::Level>(state.range(0));
   SimdLevelScope scope(state, level);
   if (!scope.ok()) return;
@@ -314,7 +314,7 @@ void RunSimdKernelBench(benchmark::State& state, const char* name,
     obs::Telemetry::Global().RecordDuration(
         timer_name, std::chrono::duration<double>(t1 - t0).count());
   }
-  state.SetItemsProcessed(state.iterations() * kSimdBenchLen);
+  state.SetItemsProcessed(state.iterations() * items);
   state.SetLabel(tensor::simd::LevelName(level));
 }
 
@@ -392,6 +392,34 @@ void BM_SimdGruStep(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_SimdGruStep)->ArgNames({"level"})->Arg(0)->Arg(1);
+
+// The GRU gate matmul at the serve shape: 207 rows of a [207, 34] x
+// [34, 64] product, one axpy_rows call per output row (items = MACs).
+void BM_SimdAxpyRows(benchmark::State& state) {
+  constexpr int64_t kRows = 207, kK = 34, kN = 64;
+  static const tensor::Tensor a = [] {
+    utils::Rng rng(14);
+    return tensor::Tensor::Normal(tensor::Shape({kRows, kK}), rng);
+  }();
+  static const tensor::Tensor b = [] {
+    utils::Rng rng(15);
+    return tensor::Tensor::Normal(tensor::Shape({kK, kN}), rng);
+  }();
+  static tensor::Tensor out = tensor::Tensor::Zeros(tensor::Shape({kRows, kN}));
+  const float* b_rows[kK];
+  for (int64_t kk = 0; kk < kK; ++kk) b_rows[kk] = b.data() + kk * kN;
+  RunSimdKernelBench(
+      state, "axpy_rows",
+      [&](const tensor::simd::Kernels& k) {
+        for (int64_t i = 0; i < kRows; ++i) {
+          k.axpy_rows(a.data() + i * kK, b_rows, kK, out.data() + i * kN, kN);
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      },
+      kRows * kK * kN);
+}
+BENCHMARK(BM_SimdAxpyRows)->ArgNames({"level"})->Arg(0)->Arg(1);
 
 // Deterministic block reduction over the bench buffer. The per-block
 // partials live in the calling thread's ScratchArena, so this bench also

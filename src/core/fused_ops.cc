@@ -27,6 +27,10 @@ void Accumulate(const std::shared_ptr<Node>& node, const Tensor& g) {
   if (node->requires_grad) node->AccumulateGrad(g);
 }
 
+/// Neighbour-row pointers for one axpy_rows call are staged on the
+/// stack in chunks of this many rows, so the gathers never allocate.
+constexpr int64_t kGatherChunk = 256;
+
 /// Row grain so each task carries roughly kElementwiseGrain elements.
 int64_t RowGrain(int64_t row_len) {
   return std::max<int64_t>(
@@ -46,6 +50,7 @@ void OneStepFastGConvInto(const float* a_s, const float* term,
   // result) is independent of the partition.
   ParallelFor(0, batch * n, RowGrain(c), [&](int64_t r0, int64_t r1) {
     const simd::Kernels& kern = simd::K();
+    const float* rows[kGatherChunk];
     for (int64_t r = r0; r < r1; ++r) {
       const int64_t b = r / n;
       const int64_t i = r - b * n;
@@ -53,10 +58,12 @@ void OneStepFastGConvInto(const float* a_s, const float* term,
       float* out_row = out + r * c;
       std::memcpy(out_row, t_base + i * c, sizeof(float) * c);
       const float* a_row = a_s + i * k;
-      for (int64_t j = 0; j < k; ++j) {
-        const float av = a_row[j];
-        if (av == 0.0f) continue;
-        kern.axpy(av, t_base + idx[j] * c, out_row, c);
+      for (int64_t j0 = 0; j0 < k; j0 += kGatherChunk) {
+        const int64_t count = std::min(kGatherChunk, k - j0);
+        for (int64_t j = 0; j < count; ++j) {
+          rows[j] = t_base + idx[j0 + j] * c;
+        }
+        kern.axpy_rows(a_row + j0, rows, count, out_row, c);
       }
       kern.scale(out_row, inv_deg[i], c);
     }
@@ -79,6 +86,7 @@ void OneStepFastGConvCsrInto(const graph::CsrMatrix& csr, const float* term,
   // so the output is byte-identical to OneStepFastGConvInto.
   ParallelFor(0, batch * num_shards, 1, [&](int64_t t0, int64_t t1) {
     const simd::Kernels& kern = simd::K();
+    const float* rows[kGatherChunk];
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t b = t / num_shards;
       const int64_t s = t - b * num_shards;
@@ -87,8 +95,13 @@ void OneStepFastGConvCsrInto(const graph::CsrMatrix& csr, const float* term,
       for (int64_t i = shards.begin(s); i < shards.end(s); ++i) {
         float* out_row = out_base + i * c;
         std::memcpy(out_row, t_base + i * c, sizeof(float) * c);
-        for (int64_t e = row_ptr[i]; e < row_ptr[i + 1]; ++e) {
-          kern.axpy(val[e], t_base + idx[col[e]] * c, out_row, c);
+        for (int64_t e0 = row_ptr[i]; e0 < row_ptr[i + 1];
+             e0 += kGatherChunk) {
+          const int64_t count = std::min(kGatherChunk, row_ptr[i + 1] - e0);
+          for (int64_t e = 0; e < count; ++e) {
+            rows[e] = t_base + idx[col[e0 + e]] * c;
+          }
+          kern.axpy_rows(val + e0, rows, count, out_row, c);
         }
         kern.scale(out_row, inv_deg[i], c);
       }

@@ -18,7 +18,7 @@ namespace sagdfn::core {
 /// replacing the IndexSelect -> BatchedMatMul -> Add -> Mul chain in
 /// FastGraphConv::Forward. No gathered [B, K, C] tensor is ever built:
 /// each output row streams the indexed term rows through the dispatched
-/// axpy kernel (zero entries of a_s skipped, mirroring MatMul's slim
+/// axpy_rows kernel (zero entries of a_s skipped, mirroring MatMul's slim
 /// sparsity), so an encoder rollout allocates one tensor per step instead
 /// of four. Backward recomputes the small intermediates into the calling
 /// thread's ScratchArena.

@@ -17,13 +17,14 @@ namespace sagdfn::tensor::simd {
 ///
 /// Determinism contract (DESIGN.md §5f): for a FIXED level, every kernel
 /// is bit-identical across thread counts, runs, and an element's offset
-/// within the call. The kAvx2 table overrides only the 15 entries whose
+/// within the call. The kAvx2 table overrides only the 16 entries whose
 /// AVX2 body changes speed or bits (vectorized exp/sigmoid/tanh and the
-/// GRU fusions on them, FMA-fused axpy/gru_blend, four backward kernels
-/// whose rounding differs, the dot/sum/masked_err reductions); the other
-/// 25 are the scalar functions. Levels agree with each other to tight
-/// tolerance, which the `simd`-labeled test suite pins. The scalar level
-/// is the reference those tests compare against.
+/// GRU fusions on them, FMA-fused axpy/gru_blend, register-resident
+/// axpy_rows, four backward kernels whose rounding differs, the
+/// dot/sum/masked_err reductions); the other 25 are the scalar
+/// functions. Levels agree with each other to tight tolerance, which the
+/// `simd`-labeled test suite pins. The scalar level is the reference
+/// those tests compare against.
 enum class Level {
   kScalar = 0,
   kAvx2 = 1,
@@ -109,8 +110,15 @@ struct Kernels {
   void (*mul_one_minus)(const float* g, const float* z, float* o, int64_t n);
 
   // -- Linear-algebra inner loops -------------------------------------------
-  /// dst[i] += a * x[i]  (matmul / diffusion macro-kernel row update)
+  /// dst[i] += a * x[i]  (diffusion backward scatter row update)
   void (*axpy)(float a, const float* x, float* dst, int64_t n);
+  /// dst[i] += sum_e coef[e] * rows[e][i], e ascending, coef[e] == 0
+  /// (either sign) skipped. Per element exactly the sequence of `axpy`
+  /// calls it replaces, so the bytes match that loop at every level; the
+  /// AVX2 body keeps dst in registers across e instead of re-loading and
+  /// re-storing it per row (matmul / diffusion-gather macro-kernel).
+  void (*axpy_rows)(const float* coef, const float* const* rows,
+                    int64_t count, float* dst, int64_t n);
   /// dst[i] *= s         (gradient rescale)
   void (*scale)(float* dst, float s, int64_t n);
   /// sum_i (double)a[i] * (double)b[i]; fixed intra-call order per level.

@@ -6,7 +6,8 @@
 // The table starts as a copy of the scalar table and overrides only the
 // entries whose AVX2 body changes speed or bits (DESIGN.md §5f):
 //   - transcendental or FMA-fused: vexp, sigmoid, vtanh, sigmoid_mul,
-//     gru_tail, gru_step, gru_blend, axpy;
+//     gru_tail, gru_step, gru_blend, axpy, axpy_rows (which also keeps
+//     its output block in registers across rows);
 //   - bits differ from scalar: sigmoid_grad (association), tanh_grad
 //     (fnmadd), gru_tail_grad and gru_step_grad (GCC contracts their
 //     `1 - t*t` into an FMA under -mfma, lanes and tails alike);
@@ -195,6 +196,54 @@ void Axpy(float a, const float* x, float* dst, int64_t n) {
                                      _mm256_loadu_ps(dst + i)));
   }
   for (; i < n; ++i) dst[i] = std::fma(a, x[i], dst[i]);
+}
+
+/// One kLanes*8-column block of AxpyRows: dst[0, 8*kLanes) is loaded into
+/// ymm accumulators once, takes one fmadd per nonzero coefficient, and is
+/// stored once. Per lane that is Axpy's fmadd sequence without the
+/// intermediate stores, which round nothing.
+template <int kLanes>
+inline void AxpyRowsBlock(const float* coef, const float* const* rows,
+                          int64_t count, float* dst, int64_t col) {
+  __m256 acc[kLanes];
+  for (int v = 0; v < kLanes; ++v) acc[v] = _mm256_loadu_ps(dst + 8 * v);
+  for (int64_t e = 0; e < count; ++e) {
+    if (coef[e] == 0.0f) continue;
+    const __m256 va = _mm256_set1_ps(coef[e]);
+    const float* x = rows[e] + col;
+    for (int v = 0; v < kLanes; ++v) {
+      acc[v] = _mm256_fmadd_ps(va, _mm256_loadu_ps(x + 8 * v), acc[v]);
+    }
+  }
+  for (int v = 0; v < kLanes; ++v) _mm256_storeu_ps(dst + 8 * v, acc[v]);
+}
+
+void AxpyRows(const float* coef, const float* const* rows, int64_t count,
+              float* dst, int64_t n) {
+  int64_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    AxpyRowsBlock<8>(coef, rows, count, dst + i, i);
+  }
+  if (i + 32 <= n) {
+    AxpyRowsBlock<4>(coef, rows, count, dst + i, i);
+    i += 32;
+  }
+  if (i + 16 <= n) {
+    AxpyRowsBlock<2>(coef, rows, count, dst + i, i);
+    i += 16;
+  }
+  if (i + 8 <= n) {
+    AxpyRowsBlock<1>(coef, rows, count, dst + i, i);
+    i += 8;
+  }
+  // std::fma mirrors the lanes' single rounding, as in Axpy's tail.
+  for (; i < n; ++i) {
+    float d = dst[i];
+    for (int64_t e = 0; e < count; ++e) {
+      if (coef[e] != 0.0f) d = std::fma(coef[e], rows[e][i], d);
+    }
+    dst[i] = d;
+  }
 }
 
 /// Sums the four doubles of `v` in fixed lane order.
@@ -497,6 +546,7 @@ const Kernels& Avx2Kernels() {
     k.sigmoid_grad = SigmoidGrad;
     k.tanh_grad = TanhGrad;
     k.axpy = Axpy;
+    k.axpy_rows = AxpyRows;
     k.dot = Dot;
     k.sum = Sum;
     k.gru_blend = GruBlend;

@@ -116,6 +116,12 @@ void MulOneMinus(const float* g, const float* z, float* o, int64_t n) {
 void Axpy(float a, const float* x, float* dst, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] += a * x[i];
 }
+void AxpyRows(const float* coef, const float* const* rows, int64_t count,
+              float* dst, int64_t n) {
+  for (int64_t e = 0; e < count; ++e) {
+    if (coef[e] != 0.0f) Axpy(coef[e], rows[e], dst, n);
+  }
+}
 void Scale(float* dst, float s, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] *= s;
 }
@@ -271,6 +277,7 @@ const Kernels& ScalarKernels() {
       .mul_sub = MulSub,
       .mul_one_minus = MulOneMinus,
       .axpy = Axpy,
+      .axpy_rows = AxpyRows,
       .scale = Scale,
       .dot = Dot,
       .sum = Sum,

@@ -201,31 +201,22 @@ int64_t ReduceOuterGrain(const AxisSplit& s) {
   return std::max<int64_t>(1, kReduceBlock / std::max<int64_t>(1, per_outer));
 }
 
-// Single-row matmul macro-kernel: out_row += a_row * B over kk in
-// [k0, k1), streaming B rows through the dispatched axpy kernel. Zero
-// entries of A are skipped (the slim adjacency and dropout masks are
-// sparse in practice).
-inline void MatMulRowTile(const float* a_row, const float* pb, float* out_row,
-                          int64_t k0, int64_t k1, int64_t n,
-                          const simd::Kernels& kern) {
-  for (int64_t kk = k0; kk < k1; ++kk) {
-    const float av = a_row[kk];
-    if (av == 0.0f) continue;
-    kern.axpy(av, pb + kk * n, out_row, n);
-  }
-}
-
 // Shared [rows in [i0, i1)] x [k tiles] kernel used by both MatMul and
-// BatchedMatMul. The k tiles advance in order inside each row, so per-row
-// accumulation order equals the sequential kernel's (bit-identical output
-// for every thread count / partition).
+// BatchedMatMul. Each k tile stages its B row pointers once, then every
+// row takes one axpy_rows call over the tile (zero entries of A skipped:
+// the slim adjacency and dropout masks are sparse in practice). The k
+// tiles advance in order inside each row and each call reloads the row
+// from memory, so per-row accumulation order equals the sequential
+// kernel's (bit-identical output for every thread count / partition).
 inline void MatMulRows(const float* pa, const float* pb, float* po,
                        int64_t i0, int64_t i1, int64_t k, int64_t n) {
   const simd::Kernels& kern = simd::K();
+  const float* b_rows[kKTile];
   for (int64_t k0 = 0; k0 < k; k0 += kKTile) {
     const int64_t k1 = std::min<int64_t>(k, k0 + kKTile);
+    for (int64_t kk = k0; kk < k1; ++kk) b_rows[kk - k0] = pb + kk * n;
     for (int64_t i = i0; i < i1; ++i) {
-      MatMulRowTile(pa + i * k, pb, po + i * n, k0, k1, n, kern);
+      kern.axpy_rows(pa + i * k + k0, b_rows, k1 - k0, po + i * n, n);
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -16,6 +17,7 @@
 #include "data/synthetic.h"
 #include "graph/adjacency.h"
 #include "graph/generators.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "utils/rng.h"
 
@@ -117,6 +119,74 @@ TEST(CsrKernelTest, ForwardMatchesDenseAtAwkwardSizes) {
           << "n=" << n << " k=" << k << " target=" << target;
     }
   }
+}
+
+/// The loop the diffusion gathers replaced: copy the self row, one
+/// K().axpy per nonzero a_s entry (j ascending), then the degree scale.
+Tensor DiffusionAxpyReference(const Tensor& a, const Tensor& term,
+                              const Tensor& inv,
+                              const std::vector<int64_t>& index_set,
+                              int64_t batch, int64_t n, int64_t c) {
+  const auto& kern = tensor::simd::K();
+  const int64_t k = static_cast<int64_t>(index_set.size());
+  Tensor out = Tensor::Zeros(Shape({batch, n, c}));
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* t_base = term.data() + b * n * c;
+    for (int64_t i = 0; i < n; ++i) {
+      float* row = out.data() + (b * n + i) * c;
+      std::memcpy(row, t_base + i * c, sizeof(float) * c);
+      for (int64_t j = 0; j < k; ++j) {
+        const float av = a.data()[i * k + j];
+        if (av != 0.0f) kern.axpy(av, t_base + index_set[j] * c, row, c);
+      }
+      kern.scale(row, inv.data()[i], c);
+    }
+  }
+  return out;
+}
+
+// Dense and CSR diffusion run the axpy_rows macro-kernel; at every level
+// both must equal the axpy loop they replaced byte for byte. k = 300
+// spans two staged row-pointer chunks; c = 34 is the serve model's
+// gate-conv width (input + hidden), c = 5 a tail-only width.
+TEST(CsrKernelTest, DiffusionMatchesAxpyLoopBytewise) {
+  namespace simd = ::sagdfn::tensor::simd;
+  const simd::Level previous = simd::ActiveLevel();
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  for (simd::Level level : levels) {
+    ASSERT_TRUE(simd::SetActiveLevel(level));
+    for (int64_t k : {20, 300}) {
+      for (int64_t c : {34, 5}) {
+        const int64_t n = 41, batch = 2;
+        utils::Rng rng(static_cast<uint64_t>(10 * k + c));
+        Tensor a = SparseSlim(n, k, 0.5, rng);
+        Tensor term = Tensor::Normal(Shape({batch, n, c}), rng);
+        Tensor inv = Tensor::Uniform(Shape({n, 1}), rng);
+        std::vector<int64_t> index_set(k);
+        for (int64_t j = 0; j < k; ++j) index_set[j] = (j * 7 + 3) % n;
+        const Tensor want =
+            DiffusionAxpyReference(a, term, inv, index_set, batch, n, c);
+        const std::string where = std::string(simd::LevelName(level)) +
+                                  " k=" + std::to_string(k) +
+                                  " c=" + std::to_string(c);
+
+        Tensor dense = Tensor::Zeros(Shape({batch, n, c}));
+        core::OneStepFastGConvInto(a.data(), term.data(), inv.data(),
+                                   index_set, batch, n, c, dense.data());
+        EXPECT_TRUE(SameBytes(dense, want)) << "dense " << where;
+
+        const CsrMatrix csr = CsrFromDense(a);
+        const NodeShards shards = ComputeNodeShards(
+            n, c * static_cast<int64_t>(sizeof(float)), 64);
+        Tensor sparse = Tensor::Zeros(Shape({batch, n, c}));
+        core::OneStepFastGConvCsrInto(csr, term.data(), inv.data(), index_set,
+                                      shards, batch, n, c, sparse.data());
+        EXPECT_TRUE(SameBytes(sparse, want)) << "csr " << where;
+      }
+    }
+  }
+  simd::SetActiveLevel(previous);
 }
 
 TEST(CsrKernelTest, AutogradForwardAndGradientsMatchDense) {

@@ -287,6 +287,75 @@ TEST(SimdKernelTest, GradAndFusedKernelsMatchWithinTolerance) {
   }
 }
 
+/// The levels this binary can run: scalar always, AVX2 when available.
+std::vector<simd::Level> RunnableLevels() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  return levels;
+}
+
+// axpy_rows is a macro-kernel over the loop it replaced: at each level it
+// must equal, byte for byte, one call of that level's axpy per nonzero
+// coefficient in ascending order — zero-skip of both signed zeros,
+// denormal coefficients, NaN/inf in the rows and a -0 start included.
+// Splitting the columns at an odd j must not change a byte either (the
+// AVX2 body's lane/tail boundary moves with the call's start).
+TEST(SimdKernelTest, AxpyRowsMatchesAxpyLoopBytewise) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (simd::Level level : RunnableLevels()) {
+    const simd::Kernels& kern = simd::KernelsFor(level);
+    for (int64_t n : {1, 7, 8, 9, 15, 16, 31, 32, 33, 63, 64, 65, 130}) {
+      for (int64_t count : {0, 1, 20, 34, 256}) {
+        // Rows live in one table with a padded stride and are referenced
+        // out of order (with repeats), as the diffusion gather does.
+        const int64_t stride = n + 3;
+        const int64_t table_rows = std::max<int64_t>(1, count);
+        std::vector<float> table =
+            RandomVec(table_rows * stride, 7000 + 31 * n + count);
+        std::vector<float> coef = RandomVec(count, 7100 + n + count, -2, 2);
+        std::vector<const float*> rows(count);
+        for (int64_t e = 0; e < count; ++e) {
+          rows[e] = table.data() + ((e * 7 + 3) % table_rows) * stride;
+          if (e % 5 == 0) coef[e] = 0.0f;
+          if (e % 7 == 1) coef[e] = -0.0f;
+          if (e % 11 == 2) coef[e] = denorm;
+          if (e % 13 == 3) coef[e] = -3.0f * denorm;
+        }
+        // Non-finite row entries in a few columns only, so most columns
+        // stay finite; rows behind a zero coefficient carry them too.
+        table[(5 % table_rows) * stride + n / 2] =
+            std::numeric_limits<float>::quiet_NaN();
+        table[(3 % table_rows) * stride + (n - 1)] = inf;
+        table[(table_rows - 1) * stride] = -inf;
+
+        std::vector<float> want(n, -0.0f);
+        for (int64_t e = 0; e < count; ++e) {
+          if (coef[e] != 0.0f) kern.axpy(coef[e], rows[e], want.data(), n);
+        }
+        std::vector<float> got(n, -0.0f);
+        kern.axpy_rows(coef.data(), rows.data(), count, got.data(), n);
+        ASSERT_EQ(0, std::memcmp(got.data(), want.data(), sizeof(float) * n))
+            << simd::LevelName(level) << " n=" << n << " count=" << count;
+
+        for (int64_t j : {1, 7, 9, 33}) {
+          if (j >= n) continue;
+          std::vector<const float*> shifted(count);
+          for (int64_t e = 0; e < count; ++e) shifted[e] = rows[e] + j;
+          std::vector<float> split(n, -0.0f);
+          kern.axpy_rows(coef.data(), rows.data(), count, split.data(), j);
+          kern.axpy_rows(coef.data(), shifted.data(), count, split.data() + j,
+                         n - j);
+          ASSERT_EQ(0,
+                    std::memcmp(split.data(), want.data(), sizeof(float) * n))
+              << simd::LevelName(level) << " n=" << n << " count=" << count
+              << " split at " << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelTest, ReductionsMatchWithinTolerance) {
   if (SkipWithoutAvx2()) return;
   const auto& sc = simd::KernelsFor(simd::Level::kScalar);

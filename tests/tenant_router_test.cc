@@ -514,7 +514,9 @@ TEST_F(TenantTest, SlowBatchFaultTimesOutOnlyQualifiedTenant) {
 
   // Every london batch stalls 30 ms; its queued requests carry 5 ms
   // deadlines and expire behind the stall. newyork runs the same load
-  // with the same deadlines, unstalled.
+  // without deadlines (a 5 ms deadline there only measures how loaded
+  // the machine is), unstalled.
+  constexpr auto kStall = std::chrono::milliseconds(30);
   ASSERT_TRUE(utils::FaultInjector::Global()
                   .Configure("slow_batch@us=30000@tenant=london2000")
                   .ok());
@@ -532,12 +534,19 @@ TEST_F(TenantTest, SlowBatchFaultTimesOutOnlyQualifiedTenant) {
   }
   EXPECT_GT(expired, 0) << "the stalled tenant should expire queued work";
 
+  // One-sided proof the stall was not inherited: an inherited stall
+  // sleeps at least kStall per serial request, so the four together would
+  // take at least 4 x kStall. An unstalled tiny-model forecast takes well
+  // under a millisecond, which leaves the bound ample room for load.
+  const auto ny_start = std::chrono::steady_clock::now();
   for (const RequestData& r : requests) {
-    Forecast forecast =
-        router.Submit("newyork2000", r.x, r.future_tod, deadline).get();
+    Forecast forecast = router.Submit("newyork2000", r.x, r.future_tod).get();
     EXPECT_TRUE(forecast.status.ok()) << forecast.status.ToString();
   }
+  const auto ny_elapsed = std::chrono::steady_clock::now() - ny_start;
   utils::FaultInjector::Global().Reset();
+  EXPECT_LT(ny_elapsed, static_cast<int64_t>(requests.size()) * kStall)
+      << "newyork forecasts took as long as inherited stalls would";
 
   TenantStats ny_stats;
   ASSERT_TRUE(router.StatsFor("newyork2000", &ny_stats).ok());

@@ -1,9 +1,14 @@
 #include "tensor/tensor_ops.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/simd.h"
 #include "utils/rng.h"
 
 namespace sagdfn::tensor {
@@ -11,6 +16,25 @@ namespace {
 
 Tensor T(std::vector<float> v, std::initializer_list<int64_t> dims) {
   return Tensor::FromVector(std::move(v), Shape(dims));
+}
+
+/// The loop the matmul macro-kernel replaced: one K().axpy per nonzero
+/// entry of A, k ascending, into a zeroed [m, n] output.
+std::vector<float> AxpyMatMulReference(const float* a, const float* b,
+                                       int64_t m, int64_t k, int64_t n) {
+  const simd::Kernels& kern = simd::K();
+  std::vector<float> out(m * n, 0.0f);
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float av = a[i * k + kk];
+      if (av != 0.0f) kern.axpy(av, b + kk * n, out.data() + i * n, n);
+    }
+  }
+  return out;
+}
+
+bool SameBytes(const float* got, const float* want, int64_t count) {
+  return std::memcmp(got, want, sizeof(float) * count) == 0;
 }
 
 TEST(TensorOpsTest, AddSameShape) {
@@ -252,6 +276,62 @@ TEST_P(TensorAlgebraProperty, Identities) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TensorAlgebraProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// MatMul, BatchedMatMul and MatMulRowsInto run the axpy_rows macro-kernel;
+// at every level each must equal the axpy loop it replaced byte for byte.
+// k = 300 crosses a k-tile boundary, where each row reloads its partial
+// sums from memory.
+TEST(TensorOpsTest, MatMulsMatchAxpyLoopBytewise) {
+  const simd::Level previous = simd::ActiveLevel();
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::Avx2Available()) levels.push_back(simd::Level::kAvx2);
+  for (simd::Level level : levels) {
+    ASSERT_TRUE(simd::SetActiveLevel(level));
+    for (int64_t k : {34, 256, 300}) {
+      for (int64_t n : {37, 64}) {
+        const int64_t m = 9, batch = 2;
+        utils::Rng rng(static_cast<uint64_t>(100 * k + n));
+        Tensor a = Tensor::Normal(Shape({batch, m, k}), rng);
+        for (int64_t i = 0; i < a.size(); i += 3) a.data()[i] = 0.0f;
+        for (int64_t i = 1; i < a.size(); i += 7) a.data()[i] = -0.0f;
+        Tensor b = Tensor::Normal(Shape({batch, k, n}), rng);
+        const std::string where = std::string(simd::LevelName(level)) +
+                                  " k=" + std::to_string(k) +
+                                  " n=" + std::to_string(n);
+
+        Tensor a0 = Slice(a, 0, 0, 1).Reshape({m, k});
+        Tensor b0 = Slice(b, 0, 0, 1).Reshape({k, n});
+        const std::vector<float> want =
+            AxpyMatMulReference(a0.data(), b0.data(), m, k, n);
+        EXPECT_TRUE(SameBytes(MatMul(a0, b0).data(), want.data(), m * n))
+            << "MatMul " << where;
+
+        // Rows [2, 7) of a dirty buffer; rows outside stay untouched.
+        std::vector<float> rows(m * n, std::numeric_limits<float>::quiet_NaN());
+        MatMulRowsInto(a0.data(), b0.data(), rows.data(), 2, 7, k, n);
+        EXPECT_TRUE(SameBytes(rows.data() + 2 * n, want.data() + 2 * n, 5 * n))
+            << "MatMulRowsInto " << where;
+        EXPECT_TRUE(std::isnan(rows[0]) && std::isnan(rows[7 * n]));
+
+        Tensor c = BatchedMatMul(a, b);
+        Tensor c_rhs = BatchedMatMul(a, b0);
+        for (int64_t bi = 0; bi < batch; ++bi) {
+          const float* ab = a.data() + bi * m * k;
+          const std::vector<float> want_b =
+              AxpyMatMulReference(ab, b.data() + bi * k * n, m, k, n);
+          EXPECT_TRUE(SameBytes(c.data() + bi * m * n, want_b.data(), m * n))
+              << "BatchedMatMul " << where << " batch " << bi;
+          const std::vector<float> want_rhs =
+              AxpyMatMulReference(ab, b0.data(), m, k, n);
+          EXPECT_TRUE(
+              SameBytes(c_rhs.data() + bi * m * n, want_rhs.data(), m * n))
+              << "BatchedMatMul (broadcast rhs) " << where << " batch " << bi;
+        }
+      }
+    }
+  }
+  simd::SetActiveLevel(previous);
+}
 
 // Property: matmul distributes over addition and respects transpose.
 class MatMulProperty : public ::testing::TestWithParam<uint64_t> {};

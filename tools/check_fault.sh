@@ -6,7 +6,9 @@
 # and serve sites (bad_candidate / nan_forecast / slow_batch / swap_race)
 # — with ASan watching the recovery paths: any leak, use-after-free, or
 # buffer overflow on a rollback/restore/rollback-swap path fails the
-# script.
+# script. The SIMD kernel and tensor-op suites ride along so the
+# matmul/diffusion macro-kernels' column tails and staged row pointers run
+# under ASan too.
 #
 # Usage: tools/check_fault.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -29,7 +31,7 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
   --target fault_injection_test serialization_test trainer_test \
   serve_engine_test rollout_plan_test registry_test tick_stream_test \
-  tenant_router_test
+  tenant_router_test simd_test tensor_ops_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
@@ -57,6 +59,10 @@ ctest --test-dir "${BUILD_DIR}" -L plan --output-on-failure
 
 echo "== streaming tick loop (ASan: cache slot churn, carried-state slabs, swap-observer lifetime) =="
 ctest --test-dir "${BUILD_DIR}" -L stream --output-on-failure
+
+echo "== SIMD kernel table + tensor-op macro-kernels (ASan) =="
+"${BUILD_DIR}/tests/simd_test"
+"${BUILD_DIR}/tests/tensor_ops_test"
 
 echo "== trainer checkpoint/resume suites (ASan) =="
 "${BUILD_DIR}/tests/trainer_test" \
