@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/entmax.h"
+#include "core/fast_gconv.h"
 #include "core/sagdfn.h"
 #include "core/sns.h"
 #include "obs/telemetry.h"
@@ -266,6 +267,41 @@ BENCHMARK(BM_SagdfnForwardThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// One GConvGruCell step forward + backward at the train-2000 shape (B 8,
+// N 2000, hidden 16, M 16, 2 diffusion steps, first encoder layer), the
+// unit of the training backward pass: gradient accumulation, the gate
+// BatchedMatMul backward and the slim diffusion scatter. Each iteration
+// is recorded as "core.gconv_gru_cell.fwd_bwd" in the cost JSON.
+void BM_GConvGruCellBackward(benchmark::State& state) {
+  constexpr int64_t kBatch = 8, kNodes = 2000, kHidden = 16, kM = 16;
+  utils::Rng rng(16);
+  core::GConvGruCell cell(/*in_dim=*/2, kHidden, /*diffusion_steps=*/2, rng);
+  autograd::Variable a_s(
+      tensor::Tensor::Uniform(tensor::Shape({kNodes, kM}), rng, 0.1f, 1.0f),
+      /*requires_grad=*/true);
+  std::vector<int64_t> index_set(kM);
+  for (int64_t j = 0; j < kM; ++j) index_set[j] = j * (kNodes / kM);
+  autograd::Variable x(
+      tensor::Tensor::Normal(tensor::Shape({kBatch, kNodes, 2}), rng));
+  autograd::Variable h(
+      tensor::Tensor::Uniform(tensor::Shape({kBatch, kNodes, kHidden}), rng,
+                              -0.5f, 0.5f),
+      /*requires_grad=*/true);
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    autograd::MeanAll(cell.Forward(a_s, index_set, x, h)).Backward();
+    const auto t1 = std::chrono::steady_clock::now();
+    obs::Telemetry::Global().RecordDuration(
+        "core.gconv_gru_cell.fwd_bwd",
+        std::chrono::duration<double>(t1 - t0).count());
+    cell.ZeroGrad();
+    a_s.ZeroGrad();
+    h.ZeroGrad();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch * kNodes);
+}
+BENCHMARK(BM_GConvGruCellBackward)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // SIMD dispatch A/B: the same raw kernel at an explicitly pinned level.

@@ -48,9 +48,9 @@ void AccumulateReduced(const std::shared_ptr<Node>& node, const Tensor& g) {
   node->AccumulateGrad(tensor::ReduceTo(g, node->value.shape()));
 }
 
-void Accumulate(const std::shared_ptr<Node>& node, const Tensor& g) {
+void Accumulate(const std::shared_ptr<Node>& node, Tensor g) {
   if (!node->requires_grad) return;
-  node->AccumulateGrad(g);
+  node->AccumulateGrad(std::move(g));
 }
 
 }  // namespace

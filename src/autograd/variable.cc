@@ -1,26 +1,39 @@
 #include "autograd/variable.h"
 
 #include <unordered_set>
+#include <utility>
 
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "utils/check.h"
+#include "utils/parallel.h"
 
 namespace sagdfn::autograd {
 
 namespace internal {
 
-void Node::AccumulateGrad(const tensor::Tensor& g) {
+void Node::AccumulateGrad(tensor::Tensor g) {
   SAGDFN_CHECK(g.shape() == value.shape())
       << "gradient shape " << g.shape().ToString() << " vs value "
       << value.shape().ToString() << " in op " << op_name;
   if (!grad_defined) {
-    grad = g.Clone();
+    grad = std::move(g);
     grad_defined = true;
+    return;
+  }
+  // Both branches add each element once, in contribution order, so the
+  // bytes match for every thread count.
+  if (!grad.SoleOwner()) {
+    grad = tensor::Add(grad, g);
     return;
   }
   float* pd = grad.data();
   const float* ps = g.data();
-  for (int64_t i = 0; i < grad.size(); ++i) pd[i] += ps[i];
+  const auto acc_add = tensor::simd::K().acc_add;
+  utils::ParallelFor(0, grad.size(), utils::kElementwiseGrain,
+                     [&](int64_t i0, int64_t i1) {
+                       acc_add(pd + i0, ps + i0, i1 - i0);
+                     });
 }
 
 }  // namespace internal
@@ -43,6 +56,9 @@ tensor::Tensor Variable::grad() const {
   if (!node_->grad_defined) {
     return tensor::Tensor::Zeros(node_->value.shape());
   }
+  // A pass-through op may have handed this node a gradient shared with
+  // other nodes; make it private before callers can write through it.
+  if (!node_->grad.SoleOwner()) node_->grad = node_->grad.Clone();
   return node_->grad;
 }
 

@@ -24,8 +24,12 @@ struct Node {
   std::function<void(const tensor::Tensor&)> backward_fn;
   const char* op_name = "leaf";
 
-  /// Adds `g` into this node's gradient buffer (allocating on first use).
-  void AccumulateGrad(const tensor::Tensor& g);
+  /// Adds `g` into this node's gradient. The first contribution is taken
+  /// as the gradient without a copy; later ones are added in place when
+  /// no other handle shares the gradient's storage, and into a fresh
+  /// buffer when one does (a pass-through op handed over its own input
+  /// gradient), so no other node's gradient ever changes.
+  void AccumulateGrad(tensor::Tensor g);
 };
 
 }  // namespace internal
@@ -53,6 +57,9 @@ class Variable {
 
   /// Accumulated gradient; only meaningful after Backward() on a scalar
   /// that depends on this variable. Zero tensor if no gradient flowed.
+  /// The returned handle shares the stored gradient, whose storage is
+  /// private to this variable: writes through it (gradient clipping,
+  /// fault injection) change this gradient and no other.
   tensor::Tensor grad() const;
 
   bool requires_grad() const { return node_->requires_grad; }

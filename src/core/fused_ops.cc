@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "tensor/simd.h"
 #include "utils/arena.h"
@@ -23,8 +24,8 @@ using utils::ScratchArena;
 
 namespace {
 
-void Accumulate(const std::shared_ptr<Node>& node, const Tensor& g) {
-  if (node->requires_grad) node->AccumulateGrad(g);
+void Accumulate(const std::shared_ptr<Node>& node, Tensor g) {
+  if (node->requires_grad) node->AccumulateGrad(std::move(g));
 }
 
 /// Neighbour-row pointers for one axpy_rows call are staged on the

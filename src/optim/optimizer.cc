@@ -122,8 +122,9 @@ double ClipGradNorm(const std::vector<autograd::Variable>& params,
     const float scale = static_cast<float>(max_norm / norm);
     const auto scale_k = tensor::simd::K().scale;
     for (const auto& p : params) {
-      // grad() returns the stored buffer (shared handle) once defined, so
-      // scaling through it updates the optimizer-visible gradient.
+      // grad() returns a handle to the stored gradient, made private to
+      // this parameter first, so scaling through it updates the
+      // optimizer-visible gradient and no other node's.
       tensor::Tensor g = p.grad();
       float* pg = g.data();
       utils::ParallelFor(0, g.size(), utils::kElementwiseGrain,

@@ -80,6 +80,14 @@ class Tensor {
     return owner_ == other.owner_ && ptr_ == other.ptr_;
   }
 
+  /// True if no other handle keeps this tensor's storage alive, so a
+  /// write through data() is seen by nobody else. The count is exact only
+  /// while no other thread copies or drops handles to the same storage;
+  /// autograd relies on that because the tape walk is single-threaded.
+  /// Not meaningful for FromExternal views, whose owner may be held by
+  /// handles outside any Tensor (gradients never wrap external storage).
+  bool SoleOwner() const { return owner_.use_count() == 1; }
+
   // -- Shape manipulation (storage-sharing where possible) ------------------
 
   /// Reinterprets the data with a new shape of equal element count. One

@@ -8,7 +8,9 @@
 # buffer overflow on a rollback/restore/rollback-swap path fails the
 # script. The SIMD kernel and tensor-op suites ride along so the
 # matmul/diffusion macro-kernels' column tails and staged row pointers run
-# under ASan too.
+# under ASan too, and so do the autograd, optimizer and trainer suites:
+# backward moves each op's gradient buffer into its node instead of
+# copying it, so every moved buffer's lifetime runs under ASan.
 #
 # Usage: tools/check_fault.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -31,7 +33,8 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
   --target fault_injection_test serialization_test trainer_test \
   serve_engine_test rollout_plan_test registry_test tick_stream_test \
-  tenant_router_test simd_test tensor_ops_test
+  tenant_router_test simd_test tensor_ops_test autograd_test \
+  autograd_stress_test optim_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
@@ -64,8 +67,10 @@ echo "== SIMD kernel table + tensor-op macro-kernels (ASan) =="
 "${BUILD_DIR}/tests/simd_test"
 "${BUILD_DIR}/tests/tensor_ops_test"
 
-echo "== trainer checkpoint/resume suites (ASan) =="
-"${BUILD_DIR}/tests/trainer_test" \
-  --gtest_filter='TrainerTest.KillAndResume*:TrainerTest.Resume*:TrainerTest.Checkpoint*:TrainerTest.Latest*'
+echo "== autograd gradient ownership, optimizer, trainer suites (ASan: moved gradient buffers) =="
+"${BUILD_DIR}/tests/autograd_test"
+"${BUILD_DIR}/tests/autograd_stress_test"
+"${BUILD_DIR}/tests/optim_test"
+"${BUILD_DIR}/tests/trainer_test"
 
 echo "Fault check passed: every injected fault was recovered or reported."

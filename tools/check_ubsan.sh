@@ -25,15 +25,18 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DSAGDFN_SANITIZE=undefined \
   ${LAUNCHER_ARGS[@]+"${LAUNCHER_ARGS[@]}"}
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
-  --target simd_test tensor_ops_test autograd_test serialization_test \
-  fast_gconv_test csr_test mmap_model_test scale_smoke_test
+  --target simd_test tensor_ops_test autograd_test autograd_stress_test \
+  optim_test serialization_test fast_gconv_test csr_test mmap_model_test \
+  scale_smoke_test
 
 export UBSAN_OPTIONS="print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 
-echo "== SIMD kernel table, tensor op + autograd kernels (UBSan) =="
+echo "== SIMD kernel table, tensor op, autograd + optimizer kernels (UBSan) =="
 "${BUILD_DIR}/tests/simd_test"
 "${BUILD_DIR}/tests/tensor_ops_test"
 "${BUILD_DIR}/tests/autograd_test"
+"${BUILD_DIR}/tests/autograd_stress_test"
+"${BUILD_DIR}/tests/optim_test"
 
 echo "== checkpoint + mapped weight-file serialization (UBSan) =="
 "${BUILD_DIR}/tests/serialization_test"
