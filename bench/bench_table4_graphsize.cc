@@ -6,12 +6,11 @@
 // size).
 //
 // With --scaling the bench instead measures the scale-tier contract
-// (ISSUE: 10k–100k nodes): per-N dense-vs-CSR diffusion step latency
-// normalized to ns per (node x slim column) — which must stay ~flat as N
-// grows, i.e. linear N*M total cost — plus frozen-model heap-vs-mmap
-// load times and a served plan tick, with two byte-equality invariants
-// (CSR step == dense step, mmap forecasts == heap forecasts). Results go
-// to BENCH_graphsize_scaling.json for
+// (10k–100k nodes): per-N diffusion step latency normalized to ns per
+// (node x slim column) — which must stay ~flat as N grows, i.e. linear
+// N*M total cost — plus frozen-model heap-vs-mmap load times and a served
+// plan tick, with one byte-equality invariant (mmap forecasts == heap
+// forecasts). Results go to BENCH_graphsize_scaling.json for
 // tools/check_bench_regression.py --graphsize-fresh. Quick covers
 // N={2000, 10000}; --full adds the nightly N={50000, 100000} legs.
 #include <chrono>
@@ -66,7 +65,6 @@ metrics::Scores EvalOnSubset(const std::string& model_name,
 struct ScaleRow {
   int64_t nodes = 0;
   int64_t m = 0;
-  double dense_step_ms = 0.0;
   double csr_step_ms = 0.0;
   double ns_per_nm = 0.0;  // csr step, ns per (node x slim column)
   double heap_load_ms = 0.0;
@@ -118,7 +116,6 @@ int RunScaling(bool full) {
     sizes.push_back(50000);
     sizes.push_back(100000);
   }
-  int csr_matches_dense = 1;
   int mmap_matches_heap = 1;
   std::vector<ScaleRow> rows;
 
@@ -133,38 +130,22 @@ int RunScaling(bool full) {
     row.nodes = n;
     row.m = config.m;
 
-    // Dense vs CSR diffusion step over the frozen slim adjacency.
+    // One diffusion step over the frozen slim adjacency's CSR view.
     utils::Rng rng(13 + n);
     tensor::Tensor term =
         tensor::Tensor::Normal(tensor::Shape({1, n, c}), rng);
-    tensor::Tensor out_dense =
-        tensor::Tensor::Zeros(tensor::Shape({1, n, c}));
-    tensor::Tensor out_csr =
-        tensor::Tensor::Zeros(tensor::Shape({1, n, c}));
+    tensor::Tensor out = tensor::Tensor::Zeros(tensor::Shape({1, n, c}));
     const graph::NodeShards shards = graph::ComputeNodeShards(
         n, c * static_cast<int64_t>(sizeof(float)));
-    row.dense_step_ms = MeanMs(
-        [&] {
-          core::OneStepFastGConvInto(snap.a_s.data(), term.data(),
-                                     snap.inv_deg.data(), snap.index_set, 1,
-                                     n, c, out_dense.data());
-        },
-        0.2, 5);
     row.csr_step_ms = MeanMs(
         [&] {
-          core::OneStepFastGConvCsrInto(*snap.csr, term.data(),
-                                        snap.inv_deg.data(), snap.index_set,
-                                        shards, 1, n, c, out_csr.data());
+          core::OneStepFastGConvInto(*snap.csr, term.data(),
+                                     snap.inv_deg.data(), snap.index_set,
+                                     shards, 1, n, c, out.data());
         },
         0.2, 5);
     row.ns_per_nm = row.csr_step_ms * 1e6 /
                     static_cast<double>(n * config.m);
-    if (std::memcmp(out_dense.data(), out_csr.data(),
-                    out_dense.size() * sizeof(float)) != 0) {
-      std::fprintf(stderr, "[scaling] CSR step != dense step at N=%lld\n",
-                   static_cast<long long>(n));
-      csr_matches_dense = 0;
-    }
 
     // Frozen-model persistence: heap checkpoint load vs mmap load.
     const std::string mapped_path = "bench_graphsize_model.sagm";
@@ -220,12 +201,10 @@ int RunScaling(bool full) {
                  static_cast<long long>(n));
   }
 
-  utils::TablePrinter table({"N", "dense step ms", "CSR step ms",
-                             "ns/(N*M)", "heap load ms", "mmap load ms",
-                             "tick ms"});
+  utils::TablePrinter table({"N", "CSR step ms", "ns/(N*M)",
+                             "heap load ms", "mmap load ms", "tick ms"});
   for (const ScaleRow& r : rows) {
     table.AddRow({std::to_string(r.nodes),
-                  utils::FormatDouble(r.dense_step_ms, 3),
                   utils::FormatDouble(r.csr_step_ms, 3),
                   utils::FormatDouble(r.ns_per_nm, 3),
                   utils::FormatDouble(r.heap_load_ms, 2),
@@ -246,22 +225,21 @@ int RunScaling(bool full) {
     std::fprintf(
         f,
         "    \"n%lld\": {\"nodes\": %lld, \"m\": %lld, "
-        "\"dense_step_ms\": %.4f, \"csr_step_ms\": %.4f, "
-        "\"ns_per_nm\": %.4f, \"heap_load_ms\": %.3f, "
-        "\"mmap_load_ms\": %.3f, \"tick_ms\": %.3f}%s\n",
+        "\"csr_step_ms\": %.4f, \"ns_per_nm\": %.4f, "
+        "\"heap_load_ms\": %.3f, \"mmap_load_ms\": %.3f, "
+        "\"tick_ms\": %.3f}%s\n",
         static_cast<long long>(r.nodes), static_cast<long long>(r.nodes),
-        static_cast<long long>(r.m), r.dense_step_ms, r.csr_step_ms,
-        r.ns_per_nm, r.heap_load_ms, r.mmap_load_ms, r.tick_ms,
+        static_cast<long long>(r.m), r.csr_step_ms, r.ns_per_nm,
+        r.heap_load_ms, r.mmap_load_ms, r.tick_ms,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f,
-               "  },\n  \"invariants\": {\"csr_matches_dense\": %d, "
-               "\"mmap_matches_heap\": %d}\n}\n",
-               csr_matches_dense, mmap_matches_heap);
+               "  },\n  \"invariants\": {\"mmap_matches_heap\": %d}\n}\n",
+               mmap_matches_heap);
   std::fclose(f);
   std::fprintf(stderr, "[scaling] summary written to %s\n",
                json_path.c_str());
-  return csr_matches_dense == 1 && mmap_matches_heap == 1 ? 0 : 1;
+  return mmap_matches_heap == 1 ? 0 : 1;
 }
 
 }  // namespace

@@ -9,6 +9,21 @@ namespace sagdfn::core {
 
 namespace ag = ::sagdfn::autograd;
 
+namespace {
+
+/// `csr` when the caller shared one, else the CSR view of this forward's
+/// a_s. Backward runs before any optimizer step, so a view built here is
+/// never stale.
+std::shared_ptr<const graph::CsrMatrix> CsrOf(
+    const ag::Variable& a_s,
+    const std::shared_ptr<const graph::CsrMatrix>& csr) {
+  if (csr != nullptr) return csr;
+  return std::make_shared<const graph::CsrMatrix>(
+      graph::CsrFromDense(a_s.value()));
+}
+
+}  // namespace
+
 FastGraphConv::FastGraphConv(int64_t in_dim, int64_t out_dim,
                              int64_t diffusion_steps, utils::Rng& rng)
     : in_dim_(in_dim), out_dim_(out_dim), diffusion_steps_(diffusion_steps) {
@@ -56,10 +71,9 @@ ag::Variable FastGraphConv::Forward(
   // mixed/normalized intermediates); see core/fused_ops.h.
   ag::Variable term = x;
   ag::Variable out = ag::BatchedMatMul(term, weights_[0]);
+  const auto a_csr = CsrOf(a_s, csr);
   for (int64_t j = 1; j < diffusion_steps_; ++j) {
-    term = csr != nullptr
-               ? OneStepFastGConvCsr(a_s, csr, term, index_set, *inv_deg)
-               : OneStepFastGConv(a_s, term, index_set, *inv_deg);
+    term = OneStepFastGConv(a_s, a_csr, term, index_set, *inv_deg);
     out = ag::Add(out, ag::BatchedMatMul(term, weights_[j]));
   }
   return ag::Add(out, bias_);
@@ -93,14 +107,17 @@ ag::Variable GConvGruCell::Forward(
     inv_deg = &local_inv_deg;
   }
 
+  const auto a_csr = CsrOf(a_s, csr);
+
   ag::Variable xh = ag::Concat({x, h}, 2);
-  ag::Variable gates = gate_conv_->Forward(a_s, index_set, xh, inv_deg, csr);
+  ag::Variable gates =
+      gate_conv_->Forward(a_s, index_set, xh, inv_deg, a_csr);
   // Fused tail (core/fused_ops.h): r is applied inside the candidate-input
   // build, z/tanh/blend collapse into one pass. Bit-identical to the
   // Sigmoid(Slice) -> Mul -> Concat -> Tanh -> GruBlend chain it replaces.
   ag::Variable x_rh = GruCandidateInput(gates, x, h);
   ag::Variable candidate_pre =
-      candidate_conv_->Forward(a_s, index_set, x_rh, inv_deg, csr);
+      candidate_conv_->Forward(a_s, index_set, x_rh, inv_deg, a_csr);
   return GruTailBlend(gates, h, candidate_pre);
 }
 

@@ -35,10 +35,11 @@ class FastGraphConv : public nn::Module {
   /// convolutions (or timesteps) against one adjacency should compute it
   /// once and pass it through instead of paying the reduction per call.
   ///
-  /// `csr` optionally supplies CsrFromDense(a_s) for frozen adjacencies
-  /// (serving / eval rollouts): the diffusion steps then run the sharded
-  /// CSR gather kernel — byte-identical output, O(nnz) instead of O(N*M)
-  /// row scans. Callers must keep `csr` in sync with `a_s`.
+  /// `csr` optionally supplies graph::CsrFromDense(a_s.value()), the view
+  /// every diffusion step walks (core::OneStepFastGConv); when null it is
+  /// built here from `a_s`. Like `inv_deg` it depends only on `a_s`, so
+  /// callers applying several convolutions against one adjacency build it
+  /// once. A shared `csr` must describe this `a_s`.
   autograd::Variable Forward(const autograd::Variable& a_s,
                              const std::vector<int64_t>& index_set,
                              const autograd::Variable& x,
@@ -85,8 +86,8 @@ class GConvGruCell : public nn::Module {
   /// `inv_deg` optionally supplies FastGraphConv::InverseDegree(a_s),
   /// shared by the gate and candidate convolutions; when null it is
   /// computed once per call (still amortized across the two convs).
-  /// `csr` is forwarded to FastGraphConv::Forward (frozen-adjacency CSR
-  /// diffusion; see there).
+  /// `csr` optionally supplies graph::CsrFromDense(a_s.value()) the same
+  /// way, shared by both convolutions (see FastGraphConv::Forward).
   autograd::Variable Forward(const autograd::Variable& a_s,
                              const std::vector<int64_t>& index_set,
                              const autograd::Variable& x,

@@ -40,51 +40,20 @@ int64_t RowGrain(int64_t row_len) {
 
 }  // namespace
 
-void OneStepFastGConvInto(const float* a_s, const float* term,
+void OneStepFastGConvInto(const graph::CsrMatrix& csr, const float* term,
                           const float* inv_deg,
                           const std::vector<int64_t>& index_set,
-                          int64_t batch, int64_t n, int64_t c, float* out) {
-  const int64_t k = static_cast<int64_t>(index_set.size());
-  const int64_t* idx = index_set.data();
-  // Each (b, i) output row is owned by exactly one task; the j scan runs
-  // in ascending order inside a row, so accumulation order (and the
-  // result) is independent of the partition.
-  ParallelFor(0, batch * n, RowGrain(c), [&](int64_t r0, int64_t r1) {
-    const simd::Kernels& kern = simd::K();
-    const float* rows[kGatherChunk];
-    for (int64_t r = r0; r < r1; ++r) {
-      const int64_t b = r / n;
-      const int64_t i = r - b * n;
-      const float* t_base = term + b * n * c;
-      float* out_row = out + r * c;
-      std::memcpy(out_row, t_base + i * c, sizeof(float) * c);
-      const float* a_row = a_s + i * k;
-      for (int64_t j0 = 0; j0 < k; j0 += kGatherChunk) {
-        const int64_t count = std::min(kGatherChunk, k - j0);
-        for (int64_t j = 0; j < count; ++j) {
-          rows[j] = t_base + idx[j0 + j] * c;
-        }
-        kern.axpy_rows(a_row + j0, rows, count, out_row, c);
-      }
-      kern.scale(out_row, inv_deg[i], c);
-    }
-  });
-}
-
-void OneStepFastGConvCsrInto(const graph::CsrMatrix& csr, const float* term,
-                             const float* inv_deg,
-                             const std::vector<int64_t>& index_set,
-                             const graph::NodeShards& shards, int64_t batch,
-                             int64_t n, int64_t c, float* out) {
+                          const graph::NodeShards& shards, int64_t batch,
+                          int64_t n, int64_t c, float* out) {
   const int64_t* idx = index_set.data();
   const int64_t* row_ptr = csr.row_ptr.data();
   const int32_t* col = csr.col.data();
   const float* val = csr.val.data();
   const int64_t num_shards = shards.count();
   // One task per (batch, shard): a contiguous block of output rows sized
-  // to stay cache-resident. Within a row the nonzero scan is ascending —
-  // the same axpy sequence the dense kernel issues after its zero-skip —
-  // so the output is byte-identical to OneStepFastGConvInto.
+  // to stay cache-resident. Each (b, i) output row is owned by exactly one
+  // task and its nonzero scan is ascending, so accumulation order (and the
+  // result) is independent of the partition.
   ParallelFor(0, batch * num_shards, 1, [&](int64_t t0, int64_t t1) {
     const simd::Kernels& kern = simd::K();
     const float* rows[kGatherChunk];
@@ -140,10 +109,11 @@ void GruTailBlendInto(const float* gates, const float* h, const float* c_pre,
   });
 }
 
-ag::Variable OneStepFastGConv(const ag::Variable& a_s,
-                              const ag::Variable& term,
-                              const std::vector<int64_t>& index_set,
-                              const ag::Variable& inv_deg) {
+ag::Variable OneStepFastGConv(
+    const ag::Variable& a_s, const std::shared_ptr<const graph::CsrMatrix>& csr,
+    const ag::Variable& term, const std::vector<int64_t>& index_set,
+    const ag::Variable& inv_deg) {
+  SAGDFN_CHECK(csr != nullptr);
   SAGDFN_CHECK_EQ(term.shape().ndim(), 3);
   SAGDFN_CHECK_EQ(a_s.shape().ndim(), 2);
   const int64_t batch = term.dim(0);
@@ -152,6 +122,8 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
   const int64_t k = static_cast<int64_t>(index_set.size());
   SAGDFN_CHECK_EQ(a_s.dim(0), n);
   SAGDFN_CHECK_EQ(a_s.dim(1), k);
+  SAGDFN_CHECK_EQ(csr->rows, n);
+  SAGDFN_CHECK_EQ(csr->cols, k);
   SAGDFN_CHECK_EQ(inv_deg.dim(0), n);
   SAGDFN_CHECK_EQ(inv_deg.size(), n);
   for (int64_t j = 0; j < k; ++j) {
@@ -159,10 +131,11 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
     SAGDFN_CHECK_LT(index_set[j], n);
   }
 
+  const graph::NodeShards shards =
+      graph::ComputeNodeShards(n, c * static_cast<int64_t>(sizeof(float)));
   Tensor out{Shape({batch, n, c})};
-  OneStepFastGConvInto(a_s.value().data(), term.value().data(),
-                       inv_deg.value().data(), index_set, batch, n, c,
-                       out.data());
+  OneStepFastGConvInto(*csr, term.value().data(), inv_deg.value().data(),
+                       index_set, shards, batch, n, c, out.data());
 
   auto na = a_s.node();
   auto nt = term.node();
@@ -170,13 +143,14 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
   std::vector<int64_t> idx = index_set;
   return MakeOp(
       "OneStepFastGConv", out, {a_s, term, inv_deg},
-      [na, nt, ninv, idx, out, batch, n, c, k](const Tensor& g) {
-        const int64_t kk = k;
+      [na, nt, ninv, csr, idx, out, batch, n, c, k](const Tensor& g) {
         const float* pg = g.data();
-        const float* pa = na->value.data();
         const float* pt = nt->value.data();
         const float* pinv = ninv->value.data();
         const float* pout = out.data();
+        const int64_t* row_ptr = csr->row_ptr.data();
+        const int32_t* pcol = csr->col.data();
+        const float* pval = csr->val.data();
 
         // gm = g * inv_deg (the gradient at `mixed`, before normalization)
         // doubles as the direct d_term contribution; it is materialized
@@ -193,16 +167,17 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
         });
 
         if (na->requires_grad) {
-          // d_a[i, j] = sum_b dot(gm[b, i, :], term[b, idx[j], :]);
-          // disjoint a_s rows per task, batch loop in ascending order.
-          Tensor d_a{Shape({n, kk})};
+          // d_a[i, j] = sum_b dot(gm[b, i, :], term[b, idx[j], :]), dense
+          // even though a_s is sparse; disjoint a_s rows per task, batch
+          // loop in ascending order.
+          Tensor d_a{Shape({n, k})};
           float* pda = d_a.data();
-          ParallelFor(0, n, RowGrain(kk * c * batch),
+          ParallelFor(0, n, RowGrain(k * c * batch),
                       [&](int64_t i0, int64_t i1) {
                         const simd::Kernels& kern = simd::K();
                         for (int64_t i = i0; i < i1; ++i) {
-                          float* da_row = pda + i * kk;
-                          for (int64_t j = 0; j < kk; ++j) {
+                          float* da_row = pda + i * k;
+                          for (int64_t j = 0; j < k; ++j) {
                             double acc = 0.0;
                             for (int64_t b = 0; b < batch; ++b) {
                               acc += kern.dot(pdt + (b * n + i) * c,
@@ -236,151 +211,22 @@ ag::Variable OneStepFastGConv(const ag::Variable& a_s,
 
         if (nt->requires_grad) {
           // Gather backward: dG[b, j, :] = sum_i a_s[i, j] * gm[b, i, :]
-          // scattered into d_term[b, idx[j], :]. dG lives in the worker's
-          // ScratchArena and is fully computed (reads of gm done) before
-          // the scatter writes into the same batch slab — idx[j] may
-          // alias any row, including i itself. Batches are disjoint per
-          // task; the j scatter runs in ascending order, so repeated
-          // indices accumulate deterministically.
+          // over the nonzeros, scattered into d_term[b, idx[j], :]. dG
+          // lives in the worker's ScratchArena and is fully computed
+          // (reads of gm done) before the scatter writes into the same
+          // batch slab — idx[j] may alias any row, including i itself.
+          // Batches are disjoint per task; the scatter runs j ascending,
+          // so repeated indices accumulate deterministically. It visits
+          // every j, adding an exact 0.0f row for a column with no
+          // nonzeros, which turns a -0.0f in d_term into +0.0f: skipping
+          // those columns would change gradient bytes.
           ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
             const simd::Kernels& kern = simd::K();
             ScratchArena& arena = ScratchArena::ThreadLocal();
             for (int64_t b = b0; b < b1; ++b) {
               ScratchArena::Scope scope(arena);
-              float* dg = arena.AllocArray<float>(kk * c);
-              std::memset(dg, 0, sizeof(float) * kk * c);
-              const float* gm_base = pdt + b * n * c;
-              for (int64_t i = 0; i < n; ++i) {
-                const float* a_row = pa + i * kk;
-                const float* gm_row = gm_base + i * c;
-                for (int64_t j = 0; j < kk; ++j) {
-                  const float av = a_row[j];
-                  if (av == 0.0f) continue;
-                  kern.axpy(av, gm_row, dg + j * c, c);
-                }
-              }
-              float* dt_base = pdt + b * n * c;
-              for (int64_t j = 0; j < kk; ++j) {
-                kern.acc_add(dt_base + idx[j] * c, dg + j * c, c);
-              }
-            }
-          });
-          Accumulate(nt, d_term);
-        }
-      });
-}
-
-ag::Variable OneStepFastGConvCsr(
-    const ag::Variable& a_s, const std::shared_ptr<const graph::CsrMatrix>& csr,
-    const ag::Variable& term, const std::vector<int64_t>& index_set,
-    const ag::Variable& inv_deg) {
-  SAGDFN_CHECK(csr != nullptr);
-  SAGDFN_CHECK_EQ(term.shape().ndim(), 3);
-  SAGDFN_CHECK_EQ(a_s.shape().ndim(), 2);
-  const int64_t batch = term.dim(0);
-  const int64_t n = term.dim(1);
-  const int64_t c = term.dim(2);
-  const int64_t k = static_cast<int64_t>(index_set.size());
-  SAGDFN_CHECK_EQ(a_s.dim(0), n);
-  SAGDFN_CHECK_EQ(a_s.dim(1), k);
-  SAGDFN_CHECK_EQ(csr->rows, n);
-  SAGDFN_CHECK_EQ(csr->cols, k);
-  SAGDFN_CHECK_EQ(inv_deg.dim(0), n);
-  SAGDFN_CHECK_EQ(inv_deg.size(), n);
-  for (int64_t j = 0; j < k; ++j) {
-    SAGDFN_CHECK_GE(index_set[j], 0);
-    SAGDFN_CHECK_LT(index_set[j], n);
-  }
-
-  const graph::NodeShards shards =
-      graph::ComputeNodeShards(n, c * static_cast<int64_t>(sizeof(float)));
-  Tensor out{Shape({batch, n, c})};
-  OneStepFastGConvCsrInto(*csr, term.value().data(), inv_deg.value().data(),
-                          index_set, shards, batch, n, c, out.data());
-
-  auto na = a_s.node();
-  auto nt = term.node();
-  auto ninv = inv_deg.node();
-  std::vector<int64_t> idx = index_set;
-  return MakeOp(
-      "OneStepFastGConvCsr", out, {a_s, term, inv_deg},
-      [na, nt, ninv, csr, idx, out, batch, n, c, k](const Tensor& g) {
-        // Mirrors OneStepFastGConv's backward instruction-for-instruction;
-        // only the gather pass walks CSR nonzeros instead of scanning the
-        // dense a_s rows (the skipped entries are exact zeros, so the axpy
-        // sequence — and every gradient byte — is unchanged).
-        const int64_t kk = k;
-        const float* pg = g.data();
-        const float* pt = nt->value.data();
-        const float* pinv = ninv->value.data();
-        const float* pout = out.data();
-        const int64_t* row_ptr = csr->row_ptr.data();
-        const int32_t* pcol = csr->col.data();
-        const float* pval = csr->val.data();
-
-        Tensor d_term{Shape({batch, n, c})};
-        float* pdt = d_term.data();
-        ParallelFor(0, batch * n, RowGrain(c), [&](int64_t r0, int64_t r1) {
-          const simd::Kernels& kern = simd::K();
-          for (int64_t r = r0; r < r1; ++r) {
-            const int64_t i = r % n;
-            kern.mul_s(pg + r * c, pinv[i], pdt + r * c, c);
-          }
-        });
-
-        if (na->requires_grad) {
-          // d_a is dense even though a_s is sparse: the loss gradient
-          // exists at zero entries too (same dense pass as the slim op).
-          Tensor d_a{Shape({n, kk})};
-          float* pda = d_a.data();
-          ParallelFor(0, n, RowGrain(kk * c * batch),
-                      [&](int64_t i0, int64_t i1) {
-                        const simd::Kernels& kern = simd::K();
-                        for (int64_t i = i0; i < i1; ++i) {
-                          float* da_row = pda + i * kk;
-                          for (int64_t j = 0; j < kk; ++j) {
-                            double acc = 0.0;
-                            for (int64_t b = 0; b < batch; ++b) {
-                              acc += kern.dot(pdt + (b * n + i) * c,
-                                              pt + (b * n + idx[j]) * c, c);
-                            }
-                            da_row[j] = static_cast<float>(acc);
-                          }
-                        }
-                      });
-          Accumulate(na, d_a);
-        }
-
-        if (ninv->requires_grad) {
-          Tensor d_inv{Shape({n, 1})};
-          float* pdi = d_inv.data();
-          ParallelFor(0, n, RowGrain(batch * c), [&](int64_t i0, int64_t i1) {
-            const simd::Kernels& kern = simd::K();
-            for (int64_t i = i0; i < i1; ++i) {
-              double acc = 0.0;
-              for (int64_t b = 0; b < batch; ++b) {
-                acc += kern.dot(pg + (b * n + i) * c,
-                                pout + (b * n + i) * c, c);
-              }
-              pdi[i] = static_cast<float>(acc / pinv[i]);
-            }
-          });
-          Accumulate(ninv, d_inv);
-        }
-
-        if (nt->requires_grad) {
-          // Gather backward, CSR edition: the per-batch dg slab and the
-          // ascending (i, then column) accumulation order are identical
-          // to the dense op; the scatter still visits every j (adding an
-          // exact 0.0f row for columns with no nonzeros, as the dense op
-          // does) so even signed-zero bytes match.
-          ParallelFor(0, batch, 1, [&](int64_t b0, int64_t b1) {
-            const simd::Kernels& kern = simd::K();
-            ScratchArena& arena = ScratchArena::ThreadLocal();
-            for (int64_t b = b0; b < b1; ++b) {
-              ScratchArena::Scope scope(arena);
-              float* dg = arena.AllocArray<float>(kk * c);
-              std::memset(dg, 0, sizeof(float) * kk * c);
+              float* dg = arena.AllocArray<float>(k * c);
+              std::memset(dg, 0, sizeof(float) * k * c);
               const float* gm_base = pdt + b * n * c;
               for (int64_t i = 0; i < n; ++i) {
                 const float* gm_row = gm_base + i * c;
@@ -389,7 +235,7 @@ ag::Variable OneStepFastGConvCsr(
                 }
               }
               float* dt_base = pdt + b * n * c;
-              for (int64_t j = 0; j < kk; ++j) {
+              for (int64_t j = 0; j < k; ++j) {
                 kern.acc_add(dt_base + idx[j] * c, dg + j * c, c);
               }
             }

@@ -16,34 +16,22 @@ namespace sagdfn::core {
 ///                   * inv_deg[i]
 ///
 /// replacing the IndexSelect -> BatchedMatMul -> Add -> Mul chain in
-/// FastGraphConv::Forward. No gathered [B, K, C] tensor is ever built:
-/// each output row streams the indexed term rows through the dispatched
-/// axpy_rows kernel (zero entries of a_s skipped, mirroring MatMul's slim
-/// sparsity), so an encoder rollout allocates one tensor per step instead
-/// of four. Backward recomputes the small intermediates into the calling
-/// thread's ScratchArena.
+/// FastGraphConv::Forward. The sum walks `csr`, which must be
+/// CsrFromDense(a_s.value()): the nonzero entries of a_s, ascending
+/// columns per row. No gathered [B, K, C] tensor is ever built: each
+/// output row streams its neighbours' term rows through the dispatched
+/// axpy_rows kernel, so a step allocates one tensor instead of four and
+/// touches nnz entries instead of the full N x K block. The forward runs
+/// one task per batch element and node shard (graph::ComputeNodeShards).
+/// Backward recomputes the small intermediates into the calling thread's
+/// ScratchArena.
 ///
 /// Shapes: a_s [N, K], term [B, N, C], inv_deg [N, 1]; index_set holds K
-/// indices into [0, N). Gradients flow to all three tensor inputs.
-autograd::Variable OneStepFastGConv(const autograd::Variable& a_s,
-                                    const autograd::Variable& term,
-                                    const std::vector<int64_t>& index_set,
-                                    const autograd::Variable& inv_deg);
-
-/// CSR variant of OneStepFastGConv for frozen adjacencies. `csr` must be
-/// CsrFromDense(a_s.value()) — i.e. hold exactly the nonzero entries of
-/// a_s with ascending columns. Because the dense kernel skips exact-zero
-/// entries in ascending j order, walking the CSR nonzeros issues the
-/// identical axpy sequence and the result (forward AND all three
-/// gradients) is byte-identical to OneStepFastGConv. The win at scale:
-/// the inner loop touches nnz entries instead of scanning the full N x K
-/// row block, and the forward is sharded into cache-sized contiguous node
-/// blocks (see graph::ComputeNodeShards) per batch element.
-///
-/// The caller owns keeping `csr` in sync with `a_s` — use this only where
-/// a_s is frozen (serving snapshots, eval rollouts), not in training
-/// steps that recompute a_s.
-autograd::Variable OneStepFastGConvCsr(
+/// indices into [0, N). Gradients flow to all three tensor inputs; d_a_s
+/// is dense, since the loss gradient exists at zero entries too. Backward
+/// reads `csr`, so it must describe the a_s of this same forward, as a
+/// CSR built in that forward (SagdfnModel::Forward, FastGraphConv) does.
+autograd::Variable OneStepFastGConv(
     const autograd::Variable& a_s,
     const std::shared_ptr<const graph::CsrMatrix>& csr,
     const autograd::Variable& term, const std::vector<int64_t>& index_set,
@@ -84,24 +72,17 @@ autograd::Variable GruTailBlend(const autograd::Variable& gates,
 // keeps plan output bit-identical to eager Predict: same kernels, same
 // per-row accumulation order.
 
-/// One diffusion step into `out` [batch, n, c]: exactly the forward pass
-/// of OneStepFastGConv. `out` must not alias `term` (rows gather from
-/// other rows).
-void OneStepFastGConvInto(const float* a_s, const float* term,
+/// Forward core of OneStepFastGConv: one diffusion step into `out`
+/// [batch, n, c], parallelized over (batch x node-shard) tasks. Each task
+/// owns a contiguous block of output rows and scans a row's nonzeros in
+/// ascending column order, so the result is bit-identical for any thread
+/// count or shard partition, and equal byte for byte to one K().axpy per
+/// nonzero. `out` must not alias `term` (rows gather from other rows).
+void OneStepFastGConvInto(const graph::CsrMatrix& csr, const float* term,
                           const float* inv_deg,
                           const std::vector<int64_t>& index_set,
-                          int64_t batch, int64_t n, int64_t c, float* out);
-
-/// CSR core of OneStepFastGConvCsr: one diffusion step into `out`
-/// [batch, n, c], parallelized over (batch x node-shard) tasks. Each task
-/// owns a contiguous block of output rows, so writes are disjoint and the
-/// result is bit-identical to OneStepFastGConvInto for any thread count
-/// or shard partition. `out` must not alias `term`.
-void OneStepFastGConvCsrInto(const graph::CsrMatrix& csr, const float* term,
-                             const float* inv_deg,
-                             const std::vector<int64_t>& index_set,
-                             const graph::NodeShards& shards, int64_t batch,
-                             int64_t n, int64_t c, float* out);
+                          const graph::NodeShards& shards, int64_t batch,
+                          int64_t n, int64_t c, float* out);
 
 /// Row-loop core of GruCandidateInput over `rows` = B*N rows. `gates`
 /// rows have stride 2*hd ([r|z]); `out` rows have stride c + hd. When

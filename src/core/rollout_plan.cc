@@ -68,31 +68,24 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
     pinned_.push_back(t);
     return pinned_.back().data();
   };
-  const float* pa = pin(snapshot.a_s);
   const float* pinv = pin(snapshot.inv_deg);
   auto idx = std::make_shared<const std::vector<int64_t>>(snapshot.index_set);
-  // Frozen snapshots carry a CSR view of a_s; diffuse instructions then
-  // run the node-sharded CSR gather (byte-identical to the dense slim
-  // kernel, O(nnz) per step). Hand-built snapshots without one replay
-  // through the dense kernel.
+  // Diffuse instructions walk the snapshot's CSR view of a_s, the same
+  // kernel eager Predict runs.
   auto csr = snapshot.csr;
-  if (csr != nullptr) {
-    SAGDFN_CHECK_EQ(csr->rows, n_);
-    SAGDFN_CHECK_EQ(csr->cols, snapshot.a_s.dim(1));
-  }
+  SAGDFN_CHECK(csr != nullptr) << "snapshot carries no CSR view of a_s";
+  SAGDFN_CHECK_EQ(csr->rows, n_);
+  SAGDFN_CHECK_EQ(csr->cols, snapshot.a_s.dim(1));
 
   // Scratch slab layout (float offsets). Buffers are reused across
   // timesteps and layers; xh / term_a / term_b are sized for the widest
   // layer input and packed tightly at each layer's own width.
   const int64_t max_in = std::max<int64_t>(c, hd) + hd;
-  // Cache-aware node blocking for the CSR diffuse instructions: shards
-  // sized so one shard's widest term rows fit in an L2 slice.
-  std::shared_ptr<const graph::NodeShards> shards;
-  if (csr != nullptr) {
-    shards = std::make_shared<const graph::NodeShards>(
-        graph::ComputeNodeShards(n, max_in *
-                                        static_cast<int64_t>(sizeof(float))));
-  }
+  // Cache-aware node blocking for the diffuse instructions: shards sized
+  // so one shard's widest term rows fit in an L2 slice.
+  auto shards = std::make_shared<const graph::NodeShards>(
+      graph::ComputeNodeShards(n, max_in *
+                                      static_cast<int64_t>(sizeof(float))));
   const int64_t off_h = 0;                            // layers * rows * hd
   const int64_t off_xh = off_h + layers * rows * hd;  // rows * max_in
   const int64_t off_ta = off_xh + rows * max_in;      // rows * max_in
@@ -187,14 +180,8 @@ RolloutPlan::RolloutPlan(const SagdfnModel& model,
       const int64_t off_next = (j % 2 == 1) ? off_ta : off_tb;
       flush();
       emit(tag + ".diffuse" + std::to_string(j), [=](const RunCtx& ctx) {
-        if (csr != nullptr) {
-          OneStepFastGConvCsrInto(*csr, ctx.slab + off_term, pinv, *idx,
-                                  *shards, batch_n, n, in_w,
-                                  ctx.slab + off_next);
-        } else {
-          OneStepFastGConvInto(pa, ctx.slab + off_term, pinv, *idx, batch_n,
-                               n, in_w, ctx.slab + off_next);
-        }
+        OneStepFastGConvInto(*csr, ctx.slab + off_term, pinv, *idx, *shards,
+                             batch_n, n, in_w, ctx.slab + off_next);
       });
       const float* wj = pin(ws[j].value());
       emit_row(tag + ".mm" + std::to_string(j), 2 * in_w * out_w,

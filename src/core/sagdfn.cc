@@ -166,11 +166,14 @@ ag::Variable SagdfnModel::Forward(const tensor::Tensor& x,
   SAGDFN_CHECK_EQ(x.dim(1), config_.history);
   MaybeResample(iteration);
   ag::Variable a_s = Adjacency();
-  // (D + I)^{-1} depends only on a_s: compute once for the whole
-  // encoder-decoder rollout instead of per conv per timestep.
+  // (D + I)^{-1} and the CSR view the diffusion steps walk depend only on
+  // a_s: compute them once for the whole encoder-decoder rollout instead
+  // of per conv per timestep.
   ag::Variable inv_deg = FastGraphConv::InverseDegree(a_s);
+  auto csr = std::make_shared<const graph::CsrMatrix>(
+      graph::CsrFromDense(a_s.value()));
   return Rollout(a_s, inv_deg, index_set_, x, future_tod, teacher,
-                 teacher_prob, &rng_);
+                 teacher_prob, &rng_, csr);
 }
 
 ag::Variable SagdfnModel::Rollout(

@@ -23,10 +23,9 @@ struct AdjacencySnapshot {
   tensor::Tensor a_s;              // [N, M]
   tensor::Tensor inv_deg;          // [N, 1]
   std::vector<int64_t> index_set;  // M node ids (columns of a_s)
-  /// CsrFromDense(a_s), shared with eval rollouts / serving plans so the
-  /// diffusion gather walks nonzeros instead of scanning N x M rows.
-  /// Always set by Snapshot(); may be null in hand-built snapshots, which
-  /// then fall back to the dense slim kernels.
+  /// CsrFromDense(a_s): the nonzeros every diffusion step walks, shared
+  /// by eager Predict and the rollout plans. Always set: by Snapshot()
+  /// and by FrozenModel's mapped load; RolloutPlan checks it.
   std::shared_ptr<const graph::CsrMatrix> csr;
 };
 
@@ -158,20 +157,17 @@ class SagdfnModel : public SeqModel {
   /// A_s from the configured attention variant.
   autograd::Variable Adjacency();
 
-  /// Shared encoder-decoder rollout over a fixed adjacency. `sampling_rng`
-  /// drives the scheduled-sampling coin flips and may be null when
-  /// `teacher` is null (the inference path); with it null the rollout is
-  /// const in the deep sense — no model state is touched.
-  autograd::Variable Rollout(const autograd::Variable& a_s,
-                             const autograd::Variable& inv_deg,
-                             const std::vector<int64_t>& index_set,
-                             const tensor::Tensor& x,
-                             const tensor::Tensor& future_tod,
-                             const tensor::Tensor* teacher,
-                             double teacher_prob,
-                             utils::Rng* sampling_rng,
-                             const std::shared_ptr<const graph::CsrMatrix>&
-                                 csr = nullptr) const;
+  /// Shared encoder-decoder rollout over a fixed adjacency; `inv_deg` and
+  /// `csr` are InverseDegree(a_s) and CsrFromDense(a_s.value()).
+  /// `sampling_rng` drives the scheduled-sampling coin flips and may be
+  /// null when `teacher` is null (the inference path); with it null the
+  /// rollout is const in the deep sense — no model state is touched.
+  autograd::Variable Rollout(
+      const autograd::Variable& a_s, const autograd::Variable& inv_deg,
+      const std::vector<int64_t>& index_set, const tensor::Tensor& x,
+      const tensor::Tensor& future_tod, const tensor::Tensor* teacher,
+      double teacher_prob, utils::Rng* sampling_rng,
+      const std::shared_ptr<const graph::CsrMatrix>& csr) const;
 
   SagdfnConfig config_;
   utils::Rng rng_;

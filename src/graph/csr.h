@@ -18,10 +18,10 @@ namespace sagdfn::graph {
 ///     row_ptr[rows] == col.size() == val.size()
 ///   - columns within a row are strictly ascending
 ///   - stored values are the nonzero entries in row-major order, so a
-///     kernel walking CSR nonzeros visits exactly the entries the dense
-///     slim kernel visits (it skips av == 0.0f), in the same order —
-///     which is what makes the CSR diffusion path byte-identical to the
-///     dense path.
+///     kernel walking CSR nonzeros issues exactly the operations, in the
+///     same order, of a dense loop that skips av == 0.0f — which is what
+///     pins the diffusion op (core::OneStepFastGConv) to its dense
+///     axpy-loop reference byte for byte.
 struct CsrMatrix {
   int64_t rows = 0;
   int64_t cols = 0;
@@ -34,7 +34,7 @@ struct CsrMatrix {
 };
 
 /// Builds a CSR matrix from a dense [rows, cols] tensor, dropping entries
-/// that are exactly 0.0f (matching the dense diffusion kernel's skip).
+/// equal to 0.0f (either sign; NaN entries are kept).
 CsrMatrix CsrFromDense(const tensor::Tensor& dense);
 
 /// Expands back to a dense [rows, cols] tensor (testing / small N only).

@@ -25,6 +25,12 @@ namespace sagdfn::tensor::simd {
 /// functions. Levels agree with each other to tight tolerance, which the
 /// `simd`-labeled test suite pins. The scalar level is the reference
 /// those tests compare against.
+///
+/// NaN limit: bit-identical means NaNs land in the same positions. When
+/// two NaNs with different payloads meet in one add (e.g. quiet_NaN and
+/// the default NaN of inf + -inf), which payload survives is not defined:
+/// the scalar add / acc_add leave the operand order of `a + b` to the
+/// compiler, and x86 returns the first operand's payload.
 enum class Level {
   kScalar = 0,
   kAvx2 = 1,

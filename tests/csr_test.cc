@@ -1,9 +1,10 @@
-// Differential coverage for the CSR diffusion path against the dense
-// slim kernels: the scale-tier contract is byte equality, not closeness
-// — forward outputs AND all gradients must memcmp-match the dense path
-// at awkward node counts (odd, prime, shard-boundary-straddling), and
+// Differential coverage for the CSR layer: the contract is byte
+// equality, not closeness. The diffusion kernel must memcmp-match a plain
+// loop of K().axpy over the dense slim adjacency at awkward node counts
+// (odd, prime, shard-boundary-straddling) and every shard partition, and
 // the sparse generators must reproduce the dense generators bit for bit
-// at any size where both fit.
+// at any size where both fit. The autograd op's gradients are checked
+// against the composed chain and finite differences in simd_test.
 #include "graph/csr.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "autograd/ops.h"
 #include "core/fused_ops.h"
 #include "data/synthetic.h"
 #include "graph/adjacency.h"
@@ -40,7 +40,7 @@ std::vector<int64_t> Iota(int64_t m) {
 }
 
 // A slim-style [n, k] adjacency with ~`density` nonzero entries (the
-// rest exactly 0.0f, which is what the dense kernel skips).
+// rest exactly 0.0f, which CsrFromDense drops).
 Tensor SparseSlim(int64_t n, int64_t k, double density, utils::Rng& rng) {
   Tensor a = Tensor::Zeros(Shape({n, k}));
   float* p = a.data();
@@ -89,38 +89,6 @@ TEST(NodeShardsTest, PartitionInvariants) {
   }
 }
 
-TEST(CsrKernelTest, ForwardMatchesDenseAtAwkwardSizes) {
-  utils::Rng rng(3);
-  // Odd, prime, and shard-straddling node counts; k likewise awkward.
-  const int64_t kCases[][2] = {{7, 3}, {13, 13}, {101, 5}, {130, 17}};
-  for (const auto& c : kCases) {
-    const int64_t n = c[0], k = c[1], batch = 2, ch = 3;
-    Tensor a = SparseSlim(n, k, 0.4, rng);
-    Tensor term = Tensor::Normal(Shape({batch, n, ch}), rng);
-    Tensor inv = Tensor::Uniform(Shape({n, 1}), rng);
-    std::vector<int64_t> index_set(k);
-    for (int64_t j = 0; j < k; ++j) index_set[j] = (j * 7 + 1) % n;
-
-    Tensor want = Tensor::Zeros(Shape({batch, n, ch}));
-    core::OneStepFastGConvInto(a.data(), term.data(), inv.data(), index_set,
-                               batch, n, ch, want.data());
-
-    CsrMatrix csr = CsrFromDense(a);
-    // A tiny shard target forces many 8-row shards (the last one short),
-    // exercising boundary straddling; the full-size target gives one
-    // shard. Both must be bit-identical to dense.
-    for (int64_t target : {64, 256 * 1024}) {
-      NodeShards shards = ComputeNodeShards(
-          n, ch * static_cast<int64_t>(sizeof(float)), target);
-      Tensor got = Tensor::Zeros(Shape({batch, n, ch}));
-      core::OneStepFastGConvCsrInto(csr, term.data(), inv.data(), index_set,
-                                    shards, batch, n, ch, got.data());
-      EXPECT_TRUE(SameBytes(got, want))
-          << "n=" << n << " k=" << k << " target=" << target;
-    }
-  }
-}
-
 /// The loop the diffusion gathers replaced: copy the self row, one
 /// K().axpy per nonzero a_s entry (j ascending), then the degree scale.
 Tensor DiffusionAxpyReference(const Tensor& a, const Tensor& term,
@@ -145,10 +113,41 @@ Tensor DiffusionAxpyReference(const Tensor& a, const Tensor& term,
   return out;
 }
 
-// Dense and CSR diffusion run the axpy_rows macro-kernel; at every level
-// both must equal the axpy loop they replaced byte for byte. k = 300
-// spans two staged row-pointer chunks; c = 34 is the serve model's
-// gate-conv width (input + hidden), c = 5 a tail-only width.
+TEST(CsrKernelTest, ForwardMatchesDenseAtAwkwardSizes) {
+  utils::Rng rng(3);
+  // Odd, prime, and shard-straddling node counts; k likewise awkward.
+  const int64_t kCases[][2] = {{7, 3}, {13, 13}, {101, 5}, {130, 17}};
+  for (const auto& c : kCases) {
+    const int64_t n = c[0], k = c[1], batch = 2, ch = 3;
+    Tensor a = SparseSlim(n, k, 0.4, rng);
+    Tensor term = Tensor::Normal(Shape({batch, n, ch}), rng);
+    Tensor inv = Tensor::Uniform(Shape({n, 1}), rng);
+    std::vector<int64_t> index_set(k);
+    for (int64_t j = 0; j < k; ++j) index_set[j] = (j * 7 + 1) % n;
+
+    const Tensor want =
+        DiffusionAxpyReference(a, term, inv, index_set, batch, n, ch);
+
+    CsrMatrix csr = CsrFromDense(a);
+    // A tiny shard target forces many 8-row shards (the last one short),
+    // exercising boundary straddling; the full-size target gives one
+    // shard. Both must be bit-identical to the dense axpy loop.
+    for (int64_t target : {64, 256 * 1024}) {
+      NodeShards shards = ComputeNodeShards(
+          n, ch * static_cast<int64_t>(sizeof(float)), target);
+      Tensor got = Tensor::Zeros(Shape({batch, n, ch}));
+      core::OneStepFastGConvInto(csr, term.data(), inv.data(), index_set,
+                                 shards, batch, n, ch, got.data());
+      EXPECT_TRUE(SameBytes(got, want))
+          << "n=" << n << " k=" << k << " target=" << target;
+    }
+  }
+}
+
+// The diffusion kernel runs the axpy_rows macro-kernel; at every level it
+// must equal the axpy loop it replaced byte for byte. k = 300 spans two
+// staged row-pointer chunks; c = 34 is the serve model's gate-conv width
+// (input + hidden), c = 5 a tail-only width.
 TEST(CsrKernelTest, DiffusionMatchesAxpyLoopBytewise) {
   namespace simd = ::sagdfn::tensor::simd;
   const simd::Level previous = simd::ActiveLevel();
@@ -171,49 +170,17 @@ TEST(CsrKernelTest, DiffusionMatchesAxpyLoopBytewise) {
                                   " k=" + std::to_string(k) +
                                   " c=" + std::to_string(c);
 
-        Tensor dense = Tensor::Zeros(Shape({batch, n, c}));
-        core::OneStepFastGConvInto(a.data(), term.data(), inv.data(),
-                                   index_set, batch, n, c, dense.data());
-        EXPECT_TRUE(SameBytes(dense, want)) << "dense " << where;
-
         const CsrMatrix csr = CsrFromDense(a);
         const NodeShards shards = ComputeNodeShards(
             n, c * static_cast<int64_t>(sizeof(float)), 64);
-        Tensor sparse = Tensor::Zeros(Shape({batch, n, c}));
-        core::OneStepFastGConvCsrInto(csr, term.data(), inv.data(), index_set,
-                                      shards, batch, n, c, sparse.data());
-        EXPECT_TRUE(SameBytes(sparse, want)) << "csr " << where;
+        Tensor got = Tensor::Zeros(Shape({batch, n, c}));
+        core::OneStepFastGConvInto(csr, term.data(), inv.data(), index_set,
+                                   shards, batch, n, c, got.data());
+        EXPECT_TRUE(SameBytes(got, want)) << where;
       }
     }
   }
   simd::SetActiveLevel(previous);
-}
-
-TEST(CsrKernelTest, AutogradForwardAndGradientsMatchDense) {
-  utils::Rng rng(4);
-  const int64_t n = 29, k = 11, batch = 3, ch = 4;
-  Tensor a0 = SparseSlim(n, k, 0.35, rng);
-  Tensor t0 = Tensor::Normal(Shape({batch, n, ch}), rng);
-  Tensor i0 = Tensor::Uniform(Shape({n, 1}), rng);
-  std::vector<int64_t> index_set(k);
-  for (int64_t j = 0; j < k; ++j) index_set[j] = (j * 5 + 2) % n;
-
-  // Two independent graphs over identical values.
-  ag::Variable ad(a0.Clone(), true), td(t0.Clone(), true),
-      id(i0.Clone(), true);
-  ag::Variable ac(a0.Clone(), true), tc(t0.Clone(), true),
-      ic(i0.Clone(), true);
-
-  ag::Variable yd = core::OneStepFastGConv(ad, td, index_set, id);
-  auto csr = std::make_shared<const CsrMatrix>(CsrFromDense(a0));
-  ag::Variable yc = core::OneStepFastGConvCsr(ac, csr, tc, index_set, ic);
-  ASSERT_TRUE(SameBytes(yc.value(), yd.value()));
-
-  ag::MeanAll(yd).Backward();
-  ag::MeanAll(yc).Backward();
-  EXPECT_TRUE(SameBytes(ac.grad(), ad.grad()));
-  EXPECT_TRUE(SameBytes(tc.grad(), td.grad()));
-  EXPECT_TRUE(SameBytes(ic.grad(), id.grad()));
 }
 
 TEST(SparseGeneratorTest, RandomGeometricSparseMatchesDense) {

@@ -4,8 +4,9 @@
 //   2. per-level thread-count determinism — memcmp-identical outputs for
 //      1, 2, 4 threads at a FIXED dispatch level;
 //   3. full-model forward+backward agreement across levels to tolerance;
-//   4. fused ops (OneStepFastGConv, GruBlend) against their composed
-//      reference chains, plus finite-difference gradients;
+//   4. fused ops (OneStepFastGConv over dense and sparse a_s, GruBlend)
+//      against their composed reference chains, plus finite-difference
+//      gradients;
 //   5. ScratchArena reuse/reset/high-water semantics;
 //   6. DeterministicBlockReduce correctness and the kReduceBlock pin.
 #include "tensor/simd.h"
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "autograd/ops.h"
 #include "core/fused_ops.h"
 #include "core/sagdfn.h"
+#include "graph/csr.h"
 #include "tensor/tensor_ops.h"
 #include "utils/arena.h"
 #include "utils/block_reduce.h"
@@ -673,6 +676,35 @@ ag::Variable ComposedGconvStep(const ag::Variable& a_s,
   return ag::Mul(mixed, inv);
 }
 
+/// The fused op over the CSR view of a_s's current value, built the way
+/// FastGraphConv builds it (so finite-difference probes see fresh CSRs).
+ag::Variable FusedGconvStep(const ag::Variable& a_s,
+                            const ag::Variable& term,
+                            const std::vector<int64_t>& idx,
+                            const ag::Variable& inv) {
+  return core::OneStepFastGConv(
+      a_s,
+      std::make_shared<const graph::CsrMatrix>(
+          graph::CsrFromDense(a_s.value())),
+      term, idx, inv);
+}
+
+/// A slim-style a_s: ~35% nonzero, the rest exact zeros, one of them
+/// -0.0f. The fused op skips zeros of both signs; the composed chain
+/// multiplies by them.
+Tensor SparseSlimAs(int64_t n, int64_t k, utils::Rng& rng) {
+  Tensor a = Tensor::Zeros(Shape({n, k}));
+  float* p = a.data();
+  for (int64_t i = 0; i < n * k; ++i) {
+    if (rng.Uniform() < 0.35) {
+      p[i] = static_cast<float>(rng.Uniform(0.05, 1.0));
+    }
+  }
+  float* zero = std::find(p, p + n * k, 0.0f);
+  if (zero != p + n * k) *zero = -0.0f;
+  return a;
+}
+
 TEST(FusedOpsTest, OneStepFastGConvMatchesComposedChain) {
   utils::Rng rng(41);
   const int64_t n = 11, k = 5, c = 7, batch = 3;
@@ -681,7 +713,7 @@ TEST(FusedOpsTest, OneStepFastGConvMatchesComposedChain) {
   ag::Variable term(Tensor::Normal(Shape({batch, n, c}), rng), true);
   ag::Variable inv(Tensor::Uniform(Shape({n, 1}), rng), true);
 
-  Tensor fused = core::OneStepFastGConv(a_s, term, idx, inv).value();
+  Tensor fused = FusedGconvStep(a_s, term, idx, inv).value();
   Tensor composed = ComposedGconvStep(a_s, term, idx, inv).value();
   EXPECT_TRUE(tensor::AllClose(fused, composed, 1e-5f, 1e-5f));
 }
@@ -690,25 +722,29 @@ TEST(FusedOpsTest, OneStepFastGConvBackwardMatchesComposedChain) {
   utils::Rng rng(43);
   const int64_t n = 9, k = 4, c = 5, batch = 2;
   const auto idx = ShuffledIndices(n, k, 44);
-  Tensor a0 = Tensor::Uniform(Shape({n, k}), rng);
+  const Tensor dense_a = Tensor::Uniform(Shape({n, k}), rng);
   Tensor t0 = Tensor::Normal(Shape({batch, n, c}), rng);
   Tensor i0 = Tensor::Uniform(Shape({n, 1}), rng);
+  const Tensor sparse_a = SparseSlimAs(n, k, rng);
 
-  auto run = [&](bool fused) {
-    ag::Variable a_s(a0.Clone(), true);
-    ag::Variable term(t0.Clone(), true);
-    ag::Variable inv(i0.Clone(), true);
-    ag::Variable out = fused
-                           ? core::OneStepFastGConv(a_s, term, idx, inv)
-                           : ComposedGconvStep(a_s, term, idx, inv);
-    ag::MeanAll(ag::Mul(out, out)).Backward();
-    return std::vector<Tensor>{a_s.grad(), term.grad(), inv.grad()};
-  };
-  const auto gf = run(true);
-  const auto gc = run(false);
-  for (size_t i = 0; i < gf.size(); ++i) {
-    EXPECT_TRUE(tensor::AllClose(gf[i], gc[i], 1e-5f, 1e-4f))
-        << "fused grad " << i << " diverges from composed reference";
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse a_s" : "dense a_s");
+    const Tensor& a0 = sparse ? sparse_a : dense_a;
+    auto run = [&](bool fused) {
+      ag::Variable a_s(a0.Clone(), true);
+      ag::Variable term(t0.Clone(), true);
+      ag::Variable inv(i0.Clone(), true);
+      ag::Variable out = fused ? FusedGconvStep(a_s, term, idx, inv)
+                               : ComposedGconvStep(a_s, term, idx, inv);
+      ag::MeanAll(ag::Mul(out, out)).Backward();
+      return std::vector<Tensor>{a_s.grad(), term.grad(), inv.grad()};
+    };
+    const auto gf = run(true);
+    const auto gc = run(false);
+    for (size_t i = 0; i < gf.size(); ++i) {
+      EXPECT_TRUE(tensor::AllClose(gf[i], gc[i], 1e-5f, 1e-4f))
+          << "fused grad " << i << " diverges from composed reference";
+    }
   }
 }
 
@@ -723,7 +759,7 @@ TEST(FusedOpsTest, OneStepFastGConvRepeatedIndicesAccumulate) {
   Tensor i0 = Tensor::Uniform(Shape({n, 1}), rng);
   ag::Variable a_f(a0.Clone(), true), t_f(t0.Clone(), true),
       i_f(i0.Clone(), true);
-  ag::MeanAll(core::OneStepFastGConv(a_f, t_f, idx, i_f)).Backward();
+  ag::MeanAll(FusedGconvStep(a_f, t_f, idx, i_f)).Backward();
   ag::Variable a_c(a0.Clone(), true), t_c(t0.Clone(), true),
       i_c(i0.Clone(), true);
   ag::MeanAll(ComposedGconvStep(a_c, t_c, idx, i_c)).Backward();
@@ -741,15 +777,19 @@ TEST(FusedOpsTest, OneStepFastGConvPassesGradCheck) {
       // Keep inv away from zero: d_inv recomputes mixed as out / inv.
       tensor::AddScalar(Tensor::Uniform(Shape({n, 1}), rng), 0.5f),
   };
-  std::string error;
-  EXPECT_TRUE(ag::CheckGradients(
-      [&](const std::vector<ag::Variable>& v) {
-        return ag::MeanAll(
-            ag::Mul(core::OneStepFastGConv(v[0], v[1], idx, v[2]),
-                    core::OneStepFastGConv(v[0], v[1], idx, v[2])));
-      },
-      inputs, &error))
-      << error;
+  const Tensor sparse_a = SparseSlimAs(n, k, rng);
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse a_s" : "dense a_s");
+    if (sparse) inputs[0] = sparse_a;
+    std::string error;
+    EXPECT_TRUE(ag::CheckGradients(
+        [&](const std::vector<ag::Variable>& v) {
+          return ag::MeanAll(ag::Mul(FusedGconvStep(v[0], v[1], idx, v[2]),
+                                     FusedGconvStep(v[0], v[1], idx, v[2])));
+        },
+        inputs, &error))
+        << error;
+  }
 }
 
 TEST(FusedOpsTest, GruBlendMatchesComposedChain) {

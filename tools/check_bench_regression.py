@@ -64,7 +64,7 @@ consecutive sizes it may grow by at most --max-superlinear-ratio
 script also requires every scenario's mmap_load_ms to stay under
 --max-mmap-load-ms (default 100 — the mapped frozen-model load must be
 milliseconds even at 100k nodes), requires the bench's byte-identity
-invariants (csr_matches_dense, mmap_matches_heap) to hold, and compares
+invariant (mmap_matches_heap) to hold, and compares
 ns_per_nm against --graphsize-baseline with the usual --threshold. The
 linearity and invariant checks are fresh-run-only and PR-BLOCKING; the
 baseline comparison is wall-clock bound and advisory like the others.
@@ -336,7 +336,7 @@ def check_graphsize(fresh, baseline, invariants, threshold_pct,
               f"(bound {max_mmap_load_ms:.0f}ms)  {'ok' if ok else 'TOO SLOW'}")
         if not ok:
             failures.append((f"{name}.mmap_load_ms", mmap_ms))
-    for key in ("csr_matches_dense", "mmap_matches_heap"):
+    for key in ("mmap_matches_heap",):
         value = invariants.get(key, 0)
         print(f"  invariant {key}: {value}")
         if value != 1:

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the parallel-kernel and serving tests under ThreadSanitizer and
 # runs the thread-pool / determinism suites at 8 threads. Any data race
-# in the ParallelFor backend, the parallel tensor kernels, or the
-# inference engine's queue/worker/shutdown machinery fails the script.
+# in the ParallelFor backend, the parallel tensor kernels, the slim
+# diffusion op, or the inference engine's queue/worker/shutdown machinery
+# fails the script.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -23,8 +24,9 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DSAGDFN_SANITIZE=thread \
   ${LAUNCHER_ARGS[@]+"${LAUNCHER_ARGS[@]}"}
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
-  --target utils_test tensor_reference_test serve_engine_test \
-  rollout_plan_test registry_test tick_stream_test tenant_router_test
+  --target utils_test tensor_reference_test csr_test fast_gconv_test \
+  serve_engine_test rollout_plan_test registry_test tick_stream_test \
+  tenant_router_test
 
 # halt_on_error so the first race aborts with a non-zero exit code.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -36,6 +38,10 @@ echo "== ThreadPool / ParallelFor tests (8 threads) =="
 echo "== Parallel kernel determinism tests (8 threads) =="
 "${BUILD_DIR}/tests/tensor_reference_test" \
   --gtest_filter='ThreadCountDeterminism.*:ScalarOpDifferential.*'
+
+echo "== Slim diffusion op: batch x shard forward, per-batch arena backward (8 threads) =="
+"${BUILD_DIR}/tests/csr_test"
+"${BUILD_DIR}/tests/fast_gconv_test"
 
 echo "== Inference engine concurrency suite (workers, shutdown, destroy-under-load) =="
 "${BUILD_DIR}/tests/serve_engine_test"
