@@ -6,7 +6,7 @@
 //     ran on (memcmp against the per-model serial reference), in-flight
 //     batches finish on the pre-swap model, and post-swap requests match
 //     the new one — serial and 8-worker. The suite is run under TSan by
-//     tools/check_tsan.sh.
+//     tools/check_sanitizer.sh thread.
 //   * Quality gate: every injected bad candidate (non-finite weights,
 //     truncated file, metric regression, bad_candidate fault) is
 //     rejected without the live FrozenModel pointer ever changing.

@@ -778,14 +778,17 @@ TEST(FusedOpsTest, OneStepFastGConvPassesGradCheck) {
       tensor::AddScalar(Tensor::Uniform(Shape({n, 1}), rng), 0.5f),
   };
   const Tensor sparse_a = SparseSlimAs(n, k, rng);
+  // A random projection Σ w ⊙ y keeps every input gradient O(1); a mean
+  // loss scales them by 1/numel, under the checker's absolute tolerance,
+  // which hides a gather-backward scatter into the wrong column.
+  const ag::Variable w(Tensor::Normal(Shape({batch, n, c}), rng));
   for (const bool sparse : {false, true}) {
     SCOPED_TRACE(sparse ? "sparse a_s" : "dense a_s");
     if (sparse) inputs[0] = sparse_a;
     std::string error;
     EXPECT_TRUE(ag::CheckGradients(
         [&](const std::vector<ag::Variable>& v) {
-          return ag::MeanAll(ag::Mul(FusedGconvStep(v[0], v[1], idx, v[2]),
-                                     FusedGconvStep(v[0], v[1], idx, v[2])));
+          return ag::SumAll(ag::Mul(w, FusedGconvStep(v[0], v[1], idx, v[2])));
         },
         inputs, &error))
         << error;

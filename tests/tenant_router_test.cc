@@ -8,7 +8,7 @@
 //     8 workers per tenant. Isolation is structural, so this is the
 //     strongest cross-tenant interference check available: ANY leakage
 //     (wrong model, shared state, scheduling-dependent kernels) breaks
-//     the bytes. Run under TSan by tools/check_tsan.sh.
+//     the bytes. Run under TSan by tools/check_sanitizer.sh thread.
 //   * Routing robustness: unknown tenants fail fast with NotFound,
 //     malformed requests keep InvalidArgument, RemoveTenant with
 //     requests in flight drains them — no dangling futures.

@@ -14,8 +14,8 @@
 //   * Warmup: nothing is published until `history` frames arrived.
 //   * Drift guard: full_reencode_every forces periodic kFull replays.
 //   * Concurrent readers against one writer are race-free (this suite
-//     runs under TSan via tools/check_tsan.sh) and observe monotonic
-//     window ids.
+//     runs under TSan via tools/check_sanitizer.sh thread) and observe
+//     monotonic window ids.
 #include "serve/forecast_cache.h"
 
 #include <atomic>

@@ -5,7 +5,7 @@ Usage:
     tools/check_bench_regression.py [--fresh PATH] [--baseline PATH]
         [--threshold PCT] [--require-simd-speedup]
     tools/check_bench_regression.py --serve-fresh BENCH_serve_latency.json
-        [--serve-baseline PATH] [--threshold PCT]
+        [--max-cached-read-ratio X] [--max-tenant-fairness-ratio X]
     tools/check_bench_regression.py --rollout-fresh BENCH_rollout_fusion.json
         [--rollout-baseline PATH] [--threshold PCT] [--min-fusion-speedup X]
     tools/check_bench_regression.py --graphsize-fresh \
@@ -27,23 +27,23 @@ count / total_s / mean_s / min_s / max_s. This script:
     warning when the fresh run carries no avx2 timers, e.g. a
     SAGDFN_SIMD=off host).
 
-With --serve-fresh the script instead compares a BENCH_serve_latency.json
-written by bench/bench_serve (per-scenario p50/p99 request latency and
-throughput) against --serve-baseline: it fails if any scenario's p50 or
-p99 latency grew by more than --threshold percent, or its throughput
-dropped by more than --threshold percent. It additionally checks — on
-the FRESH run alone, so it holds at any reader count — that every
-serve.cached_reads.* scenario's p99 read latency is within
---max-cached-read-ratio (default 5) times the serve.unbatched p50: a
-cache hit is one atomic shared_ptr load and must stay in the same
-order of magnitude as a single uncontended request, not drift toward
-recomputation cost. A second fresh-run-only criterion bounds the
-multi-tenant router's fairness: every serve.tenant.multi.* scenario's
-p99 must stay within --max-tenant-fairness-ratio (default 2) times the
-serve.tenant.single p99 — four concurrent tenants may cost at most one
-doubling over an idle router. Serve latency is wall-clock and queue-time
-dominated, so CI runs this comparison NON-BLOCKING (informational) — a
-failure there flags a trend to look at, not a gate.
+With --serve-fresh the script checks a BENCH_serve_latency.json written
+by bench/bench_serve against two bounds, each computed from the fresh run
+alone so they hold on any machine:
+
+  * every serve.cached_reads.* scenario's p99 read latency is within
+    --max-cached-read-ratio (default 5) times the serve.unbatched p50: a
+    cache hit is one atomic shared_ptr load and must stay in the same
+    order of magnitude as a single uncontended request, not drift toward
+    recomputation cost;
+  * every serve.tenant.multi.* scenario's p99 stays within
+    --max-tenant-fairness-ratio (default 2) times the serve.tenant.single
+    p99 — four concurrent tenants may cost at most one doubling over one
+    tenant at the same aggregate load.
+
+A gate whose scenarios are missing from the JSON fails: a check that
+cannot run has not passed. Open-loop request latency and throughput are
+measured by perfbench (serve-207), not here.
 
 With --rollout-fresh the script compares a BENCH_rollout_fusion.json
 written by bench/bench_rollout (per-batch eager vs plan-replay rollout
@@ -161,30 +161,6 @@ def load_serve_scenarios(path):
     return scenarios
 
 
-def check_serve_latency(fresh, baseline, threshold_pct):
-    """Per-scenario p50/p99 growth and throughput drop vs baseline."""
-    failures = []
-    for name in sorted(baseline):
-        if name not in fresh:
-            print(f"note: scenario '{name}' missing from fresh run; skipping")
-            continue
-        for metric, worse_when in (("p50_us", "higher"), ("p99_us", "higher"),
-                                   ("throughput_rps", "lower")):
-            base = baseline[name].get(metric, 0.0)
-            new = fresh[name].get(metric, 0.0)
-            if base <= 0.0:
-                continue
-            delta_pct = 100.0 * (new - base) / base
-            regressed = (delta_pct > threshold_pct if worse_when == "higher"
-                         else delta_pct < -threshold_pct)
-            marker = "REGRESSION" if regressed else "ok"
-            print(f"  {name:20s} {metric:14s} base {base:12.1f}  "
-                  f"fresh {new:12.1f} ({delta_pct:+6.1f}%)  {marker}")
-            if regressed:
-                failures.append((f"{name}.{metric}", delta_pct))
-    return failures
-
-
 def check_cached_read_ratio(fresh, max_ratio):
     """Fresh-run-only criterion: cached-read p99 vs unbatched p50.
 
@@ -197,9 +173,9 @@ def check_cached_read_ratio(fresh, max_ratio):
     cached = {k: v for k, v in fresh.items()
               if k.startswith("serve.cached_reads.")}
     if unbatched_p50 <= 0.0 or not cached:
-        print("note: cached-read ratio check skipped (missing "
-              "serve.unbatched p50 or serve.cached_reads.* scenarios)")
-        return failures
+        print("  missing serve.unbatched p50 or serve.cached_reads.* "
+              "scenarios  MISSING")
+        return [("serve.cached_reads", "missing")]
     bound = max_ratio * unbatched_p50
     for name in sorted(cached):
         p99 = cached[name].get("p99_us", 0.0)
@@ -209,7 +185,7 @@ def check_cached_read_ratio(fresh, max_ratio):
         print(f"  {name:28s} p99 {p99:10.1f}us = {ratio:6.2f}x unbatched "
               f"p50 {unbatched_p50:.1f}us (bound {max_ratio:.1f}x)  {marker}")
         if not ok:
-            failures.append((f"{name}.cached_read_ratio", ratio))
+            failures.append((f"{name}.cached_read_ratio", f"{ratio:.2f}x"))
     return failures
 
 
@@ -227,9 +203,9 @@ def check_tenant_fairness(fresh, max_ratio):
     multi = {k: v for k, v in fresh.items()
              if k.startswith("serve.tenant.multi.")}
     if single_p99 <= 0.0 or not multi:
-        print("note: tenant fairness check skipped (missing "
-              "serve.tenant.single p99 or serve.tenant.multi.* scenarios)")
-        return failures
+        print("  missing serve.tenant.single p99 or serve.tenant.multi.* "
+              "scenarios  MISSING")
+        return [("serve.tenant", "missing")]
     bound = max_ratio * single_p99
     for name in sorted(multi):
         p99 = multi[name].get("p99_us", 0.0)
@@ -239,7 +215,8 @@ def check_tenant_fairness(fresh, max_ratio):
         print(f"  {name:32s} p99 {p99:10.1f}us = {ratio:5.2f}x single-tenant "
               f"p99 {single_p99:.1f}us (bound {max_ratio:.1f}x)  {marker}")
         if not ok:
-            failures.append((f"{name}.tenant_fairness_ratio", ratio))
+            failures.append((f"{name}.tenant_fairness_ratio",
+                             f"{ratio:.2f}x"))
     return failures
 
 
@@ -374,11 +351,8 @@ def main():
                              "avx2-over-scalar in the fresh run")
     parser.add_argument("--serve-fresh", default=None,
                         help="BENCH_serve_latency.json from the run under "
-                             "test; selects the serve-latency comparison "
-                             "instead of the micro-ops one")
-    parser.add_argument("--serve-baseline",
-                        default="bench/baselines/BENCH_serve_latency.json",
-                        help="committed baseline serve latency JSON")
+                             "test; selects the cached-read and tenant "
+                             "fairness checks instead of the micro-ops one")
     parser.add_argument("--max-cached-read-ratio", type=float, default=5.0,
                         help="max tolerated serve.cached_reads.* p99 as a "
                              "multiple of the fresh serve.unbatched p50")
@@ -446,22 +420,18 @@ def main():
 
     if args.serve_fresh is not None:
         fresh = load_serve_scenarios(args.serve_fresh)
-        baseline = load_serve_scenarios(args.serve_baseline)
-        print(f"== serve latency check (threshold {args.threshold:.0f}%) ==")
-        failures = check_serve_latency(fresh, baseline, args.threshold)
         print(f"== cached-read hit-path check (bound "
               f"{args.max_cached_read_ratio:.1f}x unbatched p50) ==")
-        failures += check_cached_read_ratio(fresh,
-                                            args.max_cached_read_ratio)
+        failures = check_cached_read_ratio(fresh, args.max_cached_read_ratio)
         print(f"== multi-tenant fairness check (bound "
               f"{args.max_tenant_fairness_ratio:.1f}x single-tenant p99) ==")
         failures += check_tenant_fairness(fresh,
                                           args.max_tenant_fairness_ratio)
         if failures:
-            for name, delta in failures:
-                print(f"FAIL: {name} moved {delta:+.1f}%", file=sys.stderr)
+            for name, value in failures:
+                print(f"FAIL: {name} = {value}", file=sys.stderr)
             return 1
-        print("serve latency check passed")
+        print("serve gate check passed")
         return 0
 
     fresh = load_timers(args.fresh)
