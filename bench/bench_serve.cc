@@ -11,7 +11,8 @@
 //                              p50);
 //   serve.tenant.*             closed-loop clients on one tenant vs one
 //                              client per tenant on four tenants (worst
-//                              tenant p99 <= 2x single-tenant p99).
+//                              tenant p99 <= 2x worst single-leg client
+//                              p99, equal sample counts).
 //
 // Open-loop request latency, engine throughput and tick cost are
 // perfbench's (serve-207, stream-100k). The model is small on purpose:
@@ -173,9 +174,11 @@ void RunClient(serve::TenantRouter& router, const std::string& tenant,
 ///           queue, workers and registry.
 /// Offered load and client threads are identical, so the comparison
 /// measures what per-tenant partitioning costs over pooling everything in
-/// one engine. Each tenant's p50/p99 is recorded (serve.tenant.multi.<id>)
-/// next to the reference (serve.tenant.single); check_bench_regression.py
-/// gates that no tenant's p99 exceeds 2x the single-tenant p99.
+/// one engine. Every client's p50/p99 is recorded, per tenant in the
+/// multi leg (serve.tenant.multi.<id>) and per client in the single leg
+/// (serve.tenant.single.c<i>), so both sides' p99s come from equally
+/// many samples; check_bench_regression.py gates that no tenant's p99
+/// exceeds 2x the worst single-leg client p99.
 void BM_ServeMultiTenant(benchmark::State& state) {
   const std::vector<std::string> ids = {"metr-la-sim", "london2000",
                                         "newyork2000", "carpark"};
@@ -221,23 +224,20 @@ void BM_ServeMultiTenant(benchmark::State& state) {
     }
   }
 
-  std::vector<double> single_all;
-  for (const auto& sample : single_us) {
-    single_all.insert(single_all.end(), sample.begin(), sample.end());
-  }
-  const ScenarioSummary single = Summarize(std::move(single_all));
-  Summaries()["serve.tenant.single"] = single;
-  double worst_p99 = 0.0;
+  double worst_single_p99 = 0.0;
+  double worst_multi_p99 = 0.0;
   for (int64_t c = 0; c < clients; ++c) {
-    const ScenarioSummary summary = Summarize(std::move(multi_us[c]));
-    Summaries()["serve.tenant.multi." + ids[c]] = summary;
-    worst_p99 = std::max(worst_p99, summary.p99_us);
+    const ScenarioSummary single = Summarize(std::move(single_us[c]));
+    Summaries()["serve.tenant.single.c" + std::to_string(c)] = single;
+    worst_single_p99 = std::max(worst_single_p99, single.p99_us);
+    const ScenarioSummary multi = Summarize(std::move(multi_us[c]));
+    Summaries()["serve.tenant.multi." + ids[c]] = multi;
+    worst_multi_p99 = std::max(worst_multi_p99, multi.p99_us);
   }
-  state.counters["single_p50_us"] = single.p50_us;
-  state.counters["single_p99_us"] = single.p99_us;
-  state.counters["worst_multi_p99_us"] = worst_p99;
+  state.counters["worst_single_p99_us"] = worst_single_p99;
+  state.counters["worst_multi_p99_us"] = worst_multi_p99;
   state.counters["fairness_ratio"] =
-      single.p99_us > 0.0 ? worst_p99 / single.p99_us : 0.0;
+      worst_single_p99 > 0.0 ? worst_multi_p99 / worst_single_p99 : 0.0;
 }
 BENCHMARK(BM_ServeMultiTenant)
     ->Unit(benchmark::kMillisecond)

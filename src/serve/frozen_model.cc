@@ -46,29 +46,24 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
 }  // namespace
 
 FrozenModel::FrozenModel(std::unique_ptr<core::SagdfnModel> model,
-                         core::AdjacencySnapshot snapshot,
-                         int64_t plan_capacity)
-    : model_(std::move(model)),
-      snapshot_(std::move(snapshot)),
-      plan_capacity_(plan_capacity) {}
+                         core::AdjacencySnapshot snapshot)
+    : model_(std::move(model)), snapshot_(std::move(snapshot)) {}
 
 std::unique_ptr<FrozenModel> FrozenModel::Freeze(
-    std::unique_ptr<core::SagdfnModel> model, int64_t plan_cache_capacity) {
+    std::unique_ptr<core::SagdfnModel> model) {
   SAGDFN_CHECK(model != nullptr);
-  SAGDFN_CHECK_GT(plan_cache_capacity, 0);
   model->SetTraining(false);
   core::AdjacencySnapshot snapshot = model->Snapshot();
-  return std::unique_ptr<FrozenModel>(new FrozenModel(
-      std::move(model), std::move(snapshot), plan_cache_capacity));
+  return std::unique_ptr<FrozenModel>(
+      new FrozenModel(std::move(model), std::move(snapshot)));
 }
 
 utils::Status FrozenModel::Load(const core::SagdfnConfig& config,
                                 const std::string& checkpoint_path,
-                                std::unique_ptr<FrozenModel>* out,
-                                int64_t plan_cache_capacity) {
+                                std::unique_ptr<FrozenModel>* out) {
   auto model = std::make_unique<core::SagdfnModel>(config);
   SAGDFN_RETURN_IF_ERROR(nn::LoadModule(model.get(), checkpoint_path));
-  *out = Freeze(std::move(model), plan_cache_capacity);
+  *out = Freeze(std::move(model));
   return utils::Status::Ok();
 }
 
@@ -92,9 +87,7 @@ utils::Status FrozenModel::Save(const std::string& path) const {
 
 utils::Status FrozenModel::LoadMapped(const core::SagdfnConfig& config,
                                       const std::string& path,
-                                      std::unique_ptr<FrozenModel>* out,
-                                      int64_t plan_cache_capacity) {
-  SAGDFN_CHECK_GT(plan_cache_capacity, 0);
+                                      std::unique_ptr<FrozenModel>* out) {
   nn::MappedCheckpoint mapped;
   SAGDFN_RETURN_IF_ERROR(nn::OpenMappedCheckpoint(&mapped, path));
 
@@ -201,8 +194,8 @@ utils::Status FrozenModel::LoadMapped(const core::SagdfnConfig& config,
   snapshot.csr = std::make_shared<const graph::CsrMatrix>(
       graph::CsrFromDense(snapshot.a_s));
 
-  *out = std::unique_ptr<FrozenModel>(new FrozenModel(
-      std::move(model), std::move(snapshot), plan_cache_capacity));
+  *out = std::unique_ptr<FrozenModel>(
+      new FrozenModel(std::move(model), std::move(snapshot)));
   return utils::Status::Ok();
 }
 
@@ -238,7 +231,7 @@ std::shared_ptr<const core::RolloutPlan> FrozenModel::PlanFor(
                                                 kind);
   lru_.push_front(key);
   plans_.emplace(key, std::make_pair(plan, lru_.begin()));
-  while (static_cast<int64_t>(plans_.size()) > plan_capacity_) {
+  while (static_cast<int64_t>(plans_.size()) > kPlanCacheCapacity) {
     // Evict the least-recently-used entry. Replays already holding the
     // shared_ptr keep the evicted plan alive until they finish.
     plans_.erase(lru_.back());

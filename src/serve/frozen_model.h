@@ -22,20 +22,18 @@ namespace sagdfn::serve {
 /// FrozenModel is shared read-only by every InferenceEngine worker.
 class FrozenModel {
  public:
-  /// Default bound on cached rollout plans (see plan_cache_capacity).
-  static constexpr int64_t kDefaultPlanCacheCapacity = 16;
+  /// Bound on the per-model rollout-plan cache: plans (and their
+  /// pre-sized arena slabs) are built per distinct (batch size, plan
+  /// kind), and a client sweeping batch sizes must not grow the map
+  /// without limit. Least-recently-used entries are evicted past the cap
+  /// (in-flight replays keep their plan alive through the returned
+  /// shared_ptr).
+  static constexpr int64_t kPlanCacheCapacity = 16;
 
   /// Takes ownership of an already-built (trained or restored) model,
   /// switches it to eval mode, and freezes the adjacency.
-  /// `plan_cache_capacity` bounds the per-model rollout-plan cache:
-  /// plans (and their pre-sized arena slabs) are built per distinct
-  /// (batch size, plan kind), and a client sweeping batch sizes must
-  /// not grow the map without limit. Least-recently-used entries are
-  /// evicted past the cap (in-flight replays keep their plan alive
-  /// through the returned shared_ptr).
   static std::unique_ptr<FrozenModel> Freeze(
-      std::unique_ptr<core::SagdfnModel> model,
-      int64_t plan_cache_capacity = kDefaultPlanCacheCapacity);
+      std::unique_ptr<core::SagdfnModel> model);
 
   /// Builds a model from `config`, restores it from a v2 checkpoint
   /// written by nn::SaveModule (parameters, buffers, and the trained
@@ -43,9 +41,7 @@ class FrozenModel {
   /// partially populated model — on any checkpoint mismatch.
   static utils::Status Load(const core::SagdfnConfig& config,
                             const std::string& checkpoint_path,
-                            std::unique_ptr<FrozenModel>* out,
-                            int64_t plan_cache_capacity =
-                                kDefaultPlanCacheCapacity);
+                            std::unique_ptr<FrozenModel>* out);
 
   /// Writes this frozen model as a memory-mapped weight file (the "SAGM"
   /// format, nn::SaveMappedCheckpoint): all parameters and buffers plus
@@ -63,9 +59,7 @@ class FrozenModel {
   /// Fails cleanly on a corrupt file or a config mismatch.
   static utils::Status LoadMapped(const core::SagdfnConfig& config,
                                   const std::string& path,
-                                  std::unique_ptr<FrozenModel>* out,
-                                  int64_t plan_cache_capacity =
-                                      kDefaultPlanCacheCapacity);
+                                  std::unique_ptr<FrozenModel>* out);
 
   /// Thread-safe batched inference: `x` [B, h, N, C], `future_tod`
   /// [B, f] -> scaled predictions [B, f, N]. Per batch row the result is
@@ -92,11 +86,10 @@ class FrozenModel {
   std::shared_ptr<const core::RolloutPlan> PlanFor(
       int64_t batch, core::PlanKind kind) const;
 
-  /// Current number of cached plans (≤ plan_cache_capacity()). Also
+  /// Current number of cached plans (≤ kPlanCacheCapacity). Also
   /// exported as the `serve.plan_cache_size` telemetry gauge on every
   /// insert/evict.
   int64_t plan_cache_size() const;
-  int64_t plan_cache_capacity() const { return plan_capacity_; }
   /// Plans evicted over this model's lifetime (LRU past the cap).
   int64_t plan_cache_evictions() const;
 
@@ -108,11 +101,10 @@ class FrozenModel {
   using PlanKey = std::pair<int64_t, core::PlanKind>;
 
   FrozenModel(std::unique_ptr<core::SagdfnModel> model,
-              core::AdjacencySnapshot snapshot, int64_t plan_capacity);
+              core::AdjacencySnapshot snapshot);
 
   std::unique_ptr<core::SagdfnModel> model_;
   core::AdjacencySnapshot snapshot_;
-  const int64_t plan_capacity_;
   /// Bounded LRU over (batch, kind) → plan. Serving sees a handful of
   /// batch sizes (bounded by the engine's max_batch); the cap defends
   /// against unbounded sweeps. lru_ is most-recent-first; each map

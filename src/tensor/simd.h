@@ -21,7 +21,7 @@ namespace sagdfn::tensor::simd {
 /// AVX2 body changes speed or bits (vectorized exp/sigmoid/tanh and the
 /// GRU fusions on them, FMA-fused axpy/gru_blend, register-resident
 /// axpy_rows, four backward kernels whose rounding differs, the
-/// dot/sum/masked_err reductions); the other 25 are the scalar
+/// dot/sum/masked_err reductions); the other 24 are the scalar
 /// functions. Levels agree with each other to tight tolerance, which the
 /// `simd`-labeled test suite pins. The scalar level is the reference
 /// those tests compare against.
@@ -68,8 +68,9 @@ struct MaskedErrAcc {
 /// Dispatch table of contiguous-array kernels. One table per Level; all
 /// entries are non-null. Pointers operate on raw float arrays — callers
 /// (tensor_ops, autograd backwards, metrics, optim) own the slicing,
-/// broadcasting, and parallel partitioning. vmax/vmin/max_s/min_s compute
-/// exactly std::max(a, b) / std::min(a, b), NaN and ±0 order included.
+/// broadcasting, and parallel partitioning. vmax/max_s/rmax_s compute
+/// exactly std::max in the operand order shown, NaN and ±0 included:
+/// std::max returns its first argument unless the second compares greater.
 struct Kernels {
   // -- Elementwise binary: o[i] = a[i] OP b[i] ------------------------------
   void (*add)(const float* a, const float* b, float* o, int64_t n);
@@ -77,7 +78,6 @@ struct Kernels {
   void (*mul)(const float* a, const float* b, float* o, int64_t n);
   void (*div)(const float* a, const float* b, float* o, int64_t n);
   void (*vmax)(const float* a, const float* b, float* o, int64_t n);
-  void (*vmin)(const float* a, const float* b, float* o, int64_t n);
 
   // -- Elementwise with a broadcast scalar ----------------------------------
   void (*add_s)(const float* a, float s, float* o, int64_t n);   // a + s
@@ -86,8 +86,8 @@ struct Kernels {
   void (*mul_s)(const float* a, float s, float* o, int64_t n);   // a * s
   void (*div_s)(const float* a, float s, float* o, int64_t n);   // a / s
   void (*rdiv_s)(const float* a, float s, float* o, int64_t n);  // s / a
-  void (*max_s)(const float* a, float s, float* o, int64_t n);
-  void (*min_s)(const float* a, float s, float* o, int64_t n);
+  void (*max_s)(const float* a, float s, float* o, int64_t n);   // max(a, s)
+  void (*rmax_s)(const float* a, float s, float* o, int64_t n);  // max(s, a)
 
   // -- In-place accumulation (reduction inner loops) ------------------------
   void (*acc_add)(float* dst, const float* src, int64_t n);   // dst += src

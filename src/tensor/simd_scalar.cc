@@ -26,9 +26,6 @@ void Div(const float* a, const float* b, float* o, int64_t n) {
 void VMax(const float* a, const float* b, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = std::max(a[i], b[i]);
 }
-void VMin(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = std::min(a[i], b[i]);
-}
 
 void AddS(const float* a, float s, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] + s;
@@ -51,8 +48,8 @@ void RDivS(const float* a, float s, float* o, int64_t n) {
 void MaxS(const float* a, float s, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = std::max(a[i], s);
 }
-void MinS(const float* a, float s, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = std::min(a[i], s);
+void RMaxS(const float* a, float s, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = std::max(s, a[i]);
 }
 
 void AccAdd(float* dst, const float* src, int64_t n) {
@@ -253,7 +250,6 @@ const Kernels& ScalarKernels() {
       .mul = Mul,
       .div = Div,
       .vmax = VMax,
-      .vmin = VMin,
       .add_s = AddS,
       .sub_s = SubS,
       .rsub_s = RSubS,
@@ -261,7 +257,7 @@ const Kernels& ScalarKernels() {
       .div_s = DivS,
       .rdiv_s = RDivS,
       .max_s = MaxS,
-      .min_s = MinS,
+      .rmax_s = RMaxS,
       .acc_add = AccAdd,
       .max_into = MaxInto,
       .neg = Neg,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "tensor/simd.h"
@@ -32,55 +31,65 @@ constexpr int64_t kMatMulGrainFlops = 1 << 16;
 // (kKTile x n floats) stays resident while a task's rows stream past it.
 constexpr int64_t kKTile = 256;
 
-// Applies one operation elementwise over broadcast inputs. The three
-// contiguous fast paths run the dispatched SIMD kernels: `vv` for
-// identical shapes, `vs` (o = a[i] OP s) when the rhs is a scalar, `sv`
-// (o = s OP a[i]) when the lhs is. The general broadcast path walks a
-// multi-index with per-input strides and stays on the scalar `op` (its
-// access pattern is gather-like, not vectorizable as contiguous lanes).
-// All paths parallelize over contiguous output chunks (each element is
-// written by exactly one task, so results are thread-count independent).
-template <typename Op>
-Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinVV vv, BinVS vs,
-                       BinVS sv, Op op) {
-  if (a.shape() == b.shape()) {
-    Tensor out(a.shape());
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    ParallelFor(0, a.size(), kElementwiseGrain,
-                [&](int64_t i0, int64_t i1) {
-                  vv(pa + i0, pb + i0, po + i0, i1 - i0);
-                });
-    return out;
-  }
-  // Scalar fast paths apply only when the scalar operand's rank does not
-  // exceed the other's (otherwise broadcasting promotes the result rank,
-  // e.g. [3] op [1, 1] -> [1, 3]).
-  if (b.size() == 1 && b.ndim() <= a.ndim()) {
-    Tensor out(a.shape());
-    const float* pa = a.data();
-    const float s = b.data()[0];
-    float* po = out.data();
-    ParallelFor(0, a.size(), kElementwiseGrain,
-                [&](int64_t i0, int64_t i1) {
-                  vs(pa + i0, s, po + i0, i1 - i0);
-                });
-    return out;
-  }
-  if (a.size() == 1 && a.ndim() <= b.ndim()) {
-    Tensor out(b.shape());
-    const float s = a.data()[0];
-    const float* pb = b.data();
-    float* po = out.data();
-    ParallelFor(0, b.size(), kElementwiseGrain,
-                [&](int64_t i0, int64_t i1) {
-                  sv(pb + i0, s, po + i0, i1 - i0);
-                });
-    return out;
-  }
+// One output dim outside the row: its size and each input's element
+// stride along it (0 where that input broadcasts).
+struct OuterDim {
+  int64_t size;
+  int64_t stride[2];
+};
 
-  Shape out_shape = Shape::Broadcast(a.shape(), b.shape());
+// The row walker behind BroadcastBinary and Transpose. The output is a
+// sequence of `row_len`-element rows indexed by the `outer` dims
+// (outermost first); along a row, input i advances `row_stride[i]`
+// elements per output element. Each ParallelFor chunk seeds its row's
+// multi-index and input offsets once from its first flat index (chunks
+// may start and end mid-row), calls `run(offset0, offset1, flat, len)`
+// once per run of a row, and steps the odometer once per row. Every
+// output element is written by exactly one task, so results are
+// thread-count independent.
+template <typename Run>
+void WalkRows(int64_t total, int64_t row_len, const int64_t (&row_stride)[2],
+              const std::vector<OuterDim>& outer, const Run& run) {
+  const int64_t rank = static_cast<int64_t>(outer.size());
+  ParallelFor(0, total, kElementwiseGrain, [&](int64_t flat0, int64_t flat1) {
+    std::vector<int64_t> index(rank, 0);
+    int64_t off[2] = {0, 0};
+    int64_t rem = flat0 / row_len;
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      index[d] = rem % outer[d].size;
+      rem /= outer[d].size;
+      off[0] += index[d] * outer[d].stride[0];
+      off[1] += index[d] * outer[d].stride[1];
+    }
+    int64_t col = flat0 % row_len;
+    for (int64_t flat = flat0; flat < flat1;) {
+      const int64_t len = std::min(row_len - col, flat1 - flat);
+      run(off[0] + col * row_stride[0], off[1] + col * row_stride[1], flat,
+          len);
+      flat += len;
+      col = 0;
+      for (int64_t d = rank - 1; d >= 0; --d) {
+        ++index[d];
+        off[0] += outer[d].stride[0];
+        off[1] += outer[d].stride[1];
+        if (index[d] < outer[d].size) break;
+        off[0] -= outer[d].stride[0] * index[d];
+        off[1] -= outer[d].stride[1] * index[d];
+        index[d] = 0;
+      }
+    }
+  });
+}
+
+// Applies one binary op over broadcast inputs through the dispatched
+// contiguous kernels. The trailing output dims along which each input is
+// either dense or constant merge into a row; a row is then one `vv` call
+// (both dense), `vs` (o = a[i] OP s, b constant) or `sv` (o = s OP b[i],
+// a constant) per run. Identical shapes and scalar operands are the
+// one-row case.
+Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinVV vv, BinVS vs,
+                       BinVS sv) {
+  const Shape out_shape = Shape::Broadcast(a.shape(), b.shape());
   const int64_t rank = out_shape.ndim();
   Tensor out(out_shape);
 
@@ -97,37 +106,43 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinVV vv, BinVS vs,
   const std::vector<int64_t> sa = aligned_strides(a.shape());
   const std::vector<int64_t> sb = aligned_strides(b.shape());
 
+  // The innermost non-1 dim fixes each input's row class (dense or
+  // constant); outer dims merge while both inputs keep it. Size-1 dims
+  // never move an offset, so they merge freely.
+  bool a_dense = true;
+  bool b_dense = true;
+  int64_t row_len = 1;
+  int64_t d = rank - 1;
+  for (; d >= 0; --d) {
+    const int64_t n = out_shape.dims()[d];
+    if (n == 1) continue;
+    if (row_len == 1) {
+      a_dense = sa[d] != 0;
+      b_dense = sb[d] != 0;
+    } else if (sa[d] != (a_dense ? row_len : 0) ||
+               sb[d] != (b_dense ? row_len : 0)) {
+      break;
+    }
+    row_len *= n;
+  }
+  std::vector<OuterDim> outer;
+  for (int64_t i = 0; i <= d; ++i) {
+    outer.push_back({out_shape.dims()[i], {sa[i], sb[i]}});
+  }
+
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  const int64_t total = out.size();
-  // Each chunk seeds its multi-index / input offsets from its first flat
-  // index, then advances odometer-style.
-  ParallelFor(0, total, kElementwiseGrain, [&](int64_t flat0, int64_t flat1) {
-    std::vector<int64_t> index(rank, 0);
-    int64_t offset_a = 0;
-    int64_t offset_b = 0;
-    int64_t rem = flat0;
-    for (int64_t d = rank - 1; d >= 0; --d) {
-      index[d] = rem % out_shape.dims()[d];
-      rem /= out_shape.dims()[d];
-      offset_a += index[d] * sa[d];
-      offset_b += index[d] * sb[d];
-    }
-    for (int64_t flat = flat0; flat < flat1; ++flat) {
-      po[flat] = op(pa[offset_a], pb[offset_b]);
-      // Increment the multi-index (odometer) and the two offsets.
-      for (int64_t d = rank - 1; d >= 0; --d) {
-        ++index[d];
-        offset_a += sa[d];
-        offset_b += sb[d];
-        if (index[d] < out_shape.dims()[d]) break;
-        offset_a -= sa[d] * index[d];
-        offset_b -= sb[d] * index[d];
-        index[d] = 0;
-      }
-    }
-  });
+  WalkRows(out.size(), row_len, {a_dense ? 1 : 0, b_dense ? 1 : 0}, outer,
+           [&](int64_t oa, int64_t ob, int64_t flat, int64_t len) {
+             if (!b_dense) {
+               vs(pa + oa, pb[ob], po + flat, len);
+             } else if (!a_dense) {
+               sv(pb + ob, pa[oa], po + flat, len);
+             } else {
+               vv(pa + oa, pb + ob, po + flat, len);
+             }
+           });
   return out;
 }
 
@@ -225,36 +240,27 @@ inline void MatMulRows(const float* pa, const float* pb, float* po,
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.add, k.add_s, k.add_s, std::plus<float>());
+  return BroadcastBinary(a, b, k.add, k.add_s, k.add_s);
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.sub, k.sub_s, k.rsub_s, std::minus<float>());
+  return BroadcastBinary(a, b, k.sub, k.sub_s, k.rsub_s);
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.mul, k.mul_s, k.mul_s,
-                         std::multiplies<float>());
+  return BroadcastBinary(a, b, k.mul, k.mul_s, k.mul_s);
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
   const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.div, k.div_s, k.rdiv_s,
-                         std::divides<float>());
+  return BroadcastBinary(a, b, k.div, k.div_s, k.rdiv_s);
 }
 
 Tensor Maximum(const Tensor& a, const Tensor& b) {
   const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.vmax, k.max_s, k.max_s,
-                         [](float x, float y) { return std::max(x, y); });
-}
-
-Tensor Minimum(const Tensor& a, const Tensor& b) {
-  const simd::Kernels& k = simd::K();
-  return BroadcastBinary(a, b, k.vmin, k.min_s, k.min_s,
-                         [](float x, float y) { return std::min(x, y); });
+  return BroadcastBinary(a, b, k.vmax, k.max_s, k.rmax_s);
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
@@ -294,11 +300,6 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Relu(const Tensor& a) { return UnaryKernel(a, simd::K().relu); }
-
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  SAGDFN_CHECK_LE(lo, hi);
-  return UnaryOp(a, [lo, hi](float x) { return std::clamp(x, lo, hi); });
-}
 
 Tensor Pow(const Tensor& a, float p) {
   return UnaryOp(a, [p](float x) { return std::pow(x, p); });
@@ -432,33 +433,6 @@ Tensor Max(const Tensor& a, int64_t axis, bool keepdim) {
   return out;
 }
 
-Tensor ArgMax(const Tensor& a, int64_t axis) {
-  const AxisSplit s = SplitAtAxis(a.shape(), axis);
-  SAGDFN_CHECK_GT(s.axis_size, 0);
-  Tensor out{ReducedShape(a.shape(), axis, /*keepdim=*/false)};
-  const float* pa = a.data();
-  float* po = out.data();
-  ParallelFor2D(
-      s.outer, s.inner, ReduceOuterGrain(s), kReduceBlock,
-      [&](int64_t o0, int64_t o1, int64_t i0, int64_t i1) {
-        for (int64_t o = o0; o < o1; ++o) {
-          for (int64_t i = i0; i < i1; ++i) {
-            float best = -std::numeric_limits<float>::infinity();
-            int64_t best_idx = 0;
-            for (int64_t x = 0; x < s.axis_size; ++x) {
-              float v = pa[(o * s.axis_size + x) * s.inner + i];
-              if (v > best) {
-                best = v;
-                best_idx = x;
-              }
-            }
-            po[o * s.inner + i] = static_cast<float>(best_idx);
-          }
-        }
-      });
-  return out;
-}
-
 Tensor SumAll(const Tensor& a) {
   const float* pa = a.data();
   const auto sum = simd::K().sum;
@@ -523,30 +497,31 @@ Tensor Transpose(const Tensor& a, int64_t axis0, int64_t axis1) {
   std::vector<int64_t> out_in_strides = in_strides;
   std::swap(out_in_strides[axis0], out_in_strides[axis1]);
 
+  // The dims after both swapped axes keep their input layout and merge
+  // into one contiguous row. When the last axis is swapped, a row is the
+  // last output dim read at its input stride.
   const int64_t rank = a.ndim();
+  const int64_t row_begin = std::min(std::max(axis0, axis1) + 1, rank - 1);
+  const int64_t row_stride = out_in_strides[rank - 1];
+  int64_t row_len = 1;
+  for (int64_t d = row_begin; d < rank; ++d) row_len *= out_dims[d];
+  std::vector<OuterDim> outer;
+  for (int64_t d = 0; d < row_begin; ++d) {
+    outer.push_back({out_dims[d], {out_in_strides[d], 0}});
+  }
+
   const float* pa = a.data();
   float* po = out.data();
-  const int64_t total = a.size();
-  ParallelFor(0, total, kElementwiseGrain, [&](int64_t flat0, int64_t flat1) {
-    std::vector<int64_t> index(rank, 0);
-    int64_t in_offset = 0;
-    int64_t rem = flat0;
-    for (int64_t d = rank - 1; d >= 0; --d) {
-      index[d] = rem % out_dims[d];
-      rem /= out_dims[d];
-      in_offset += index[d] * out_in_strides[d];
-    }
-    for (int64_t flat = flat0; flat < flat1; ++flat) {
-      po[flat] = pa[in_offset];
-      for (int64_t d = rank - 1; d >= 0; --d) {
-        ++index[d];
-        in_offset += out_in_strides[d];
-        if (index[d] < out_dims[d]) break;
-        in_offset -= out_in_strides[d] * index[d];
-        index[d] = 0;
-      }
-    }
-  });
+  WalkRows(a.size(), row_len, {row_stride, 0}, outer,
+           [&](int64_t off, int64_t, int64_t flat, int64_t len) {
+             const float* src = pa + off;
+             float* dst = po + flat;
+             if (row_stride == 1) {
+               std::copy(src, src + len, dst);
+             } else {
+               for (int64_t i = 0; i < len; ++i) dst[i] = src[i * row_stride];
+             }
+           });
   return out;
 }
 

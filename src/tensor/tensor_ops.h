@@ -16,7 +16,6 @@ Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
 Tensor Maximum(const Tensor& a, const Tensor& b);
-Tensor Minimum(const Tensor& a, const Tensor& b);
 
 // Scalar-broadcast conveniences.
 Tensor AddScalar(const Tensor& a, float s);
@@ -36,8 +35,6 @@ Tensor Sign(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
-/// Clamps every element into [lo, hi].
-Tensor Clamp(const Tensor& a, float lo, float hi);
 /// Raises every element to the (scalar) power p. Elements must be >= 0
 /// when p is non-integral.
 Tensor Pow(const Tensor& a, float p);
@@ -77,8 +74,6 @@ void MatMulRowsInto(const float* a, const float* b, float* o, int64_t i0,
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdim = false);
 Tensor Mean(const Tensor& a, int64_t axis, bool keepdim = false);
 Tensor Max(const Tensor& a, int64_t axis, bool keepdim = false);
-/// Index of the maximum along `axis` (ties -> first), as float values.
-Tensor ArgMax(const Tensor& a, int64_t axis);
 
 /// Full reductions to a rank-0 scalar tensor.
 Tensor SumAll(const Tensor& a);

@@ -172,31 +172,33 @@ TEST(RolloutPlanTest, PlanCacheKeyedByKind) {
 }
 
 TEST(RolloutPlanTest, PlanCacheEvictsLeastRecentlyUsed) {
-  auto model = std::shared_ptr<const serve::FrozenModel>(
-      serve::FrozenModel::Freeze(std::make_unique<SagdfnModel>(TinyConfig()),
-                                 /*plan_cache_capacity=*/2));
-  EXPECT_EQ(model->plan_cache_capacity(), 2);
-  auto p1 = model->PlanFor(1);
-  auto p2 = model->PlanFor(2);
-  EXPECT_EQ(model->plan_cache_size(), 2);
+  auto model = MakeFrozen(TinyConfig());
+  constexpr int64_t kCap = serve::FrozenModel::kPlanCacheCapacity;
+  // Fill the cache with batch sizes 1..kCap, oldest first.
+  std::vector<std::shared_ptr<const RolloutPlan>> plans;
+  for (int64_t batch = 1; batch <= kCap; ++batch) {
+    plans.push_back(model->PlanFor(batch));
+  }
+  EXPECT_EQ(model->plan_cache_size(), kCap);
   EXPECT_EQ(model->plan_cache_evictions(), 0);
 
-  // Touch batch 1 so batch 2 is the LRU entry, then insert batch 3.
-  EXPECT_EQ(model->PlanFor(1).get(), p1.get());
-  auto p3 = model->PlanFor(3);
-  EXPECT_EQ(model->plan_cache_size(), 2);
+  // Touch batch 1 so batch 2 is the LRU entry, then insert one more.
+  EXPECT_EQ(model->PlanFor(1).get(), plans[0].get());
+  model->PlanFor(kCap + 1);
+  EXPECT_EQ(model->plan_cache_size(), kCap);
   EXPECT_EQ(model->plan_cache_evictions(), 1);
 
-  // Batch 1 and 3 survived; batch 2 was evicted and rebuilds fresh.
-  EXPECT_EQ(model->PlanFor(1).get(), p1.get());
+  // Batch 1 and batch 3 survived; batch 2 left and rebuilds fresh.
+  EXPECT_EQ(model->PlanFor(1).get(), plans[0].get());
+  EXPECT_EQ(model->PlanFor(3).get(), plans[2].get());
   EXPECT_EQ(model->plan_cache_evictions(), 1);
-  EXPECT_NE(model->PlanFor(2).get(), p2.get());
+  EXPECT_NE(model->PlanFor(2).get(), plans[1].get());
   EXPECT_EQ(model->plan_cache_evictions(), 2);
 
   // The evicted plan stays replayable through the caller's shared_ptr.
   const SagdfnConfig config = TinyConfig();
   const Batch in = MakeBatch(config, 2, 99);
-  EXPECT_TRUE(BytesEqual(p2->Run(in.x, in.tod),
+  EXPECT_TRUE(BytesEqual(plans[1]->Run(in.x, in.tod),
                          model->PredictEager(in.x, in.tod)));
 }
 

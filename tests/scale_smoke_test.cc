@@ -82,8 +82,7 @@ TEST(ScaleSmokeTest, TenThousandNodesTrainServeAndMmapRoundTrip) {
   EXPECT_TRUE(std::isfinite(result.best_val_mae));
 
   // Serve: freeze the trained model; plan-replayed ticks at N=10k.
-  auto heap = serve::FrozenModel::Freeze(std::move(model),
-                                         /*plan_cache_capacity=*/4);
+  auto heap = serve::FrozenModel::Freeze(std::move(model));
   ASSERT_NE(heap->snapshot().csr, nullptr);
 
   // Graph recovery stays computable at this scale: the latent ground

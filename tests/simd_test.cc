@@ -142,7 +142,7 @@ TEST(SimdKernelTest, BinaryKernelsMatchScalarExactly) {
   using BinVV = void (*)(const float*, const float*, float*, int64_t);
   const std::vector<std::pair<BinVV, BinVV>> pairs = {
       {sc.add, vx.add}, {sc.sub, vx.sub}, {sc.mul, vx.mul},
-      {sc.div, vx.div}, {sc.vmax, vx.vmax}, {sc.vmin, vx.vmin},
+      {sc.div, vx.div}, {sc.vmax, vx.vmax},
   };
   for (int64_t n : kAwkwardLengths) {
     const auto a = RandomVec(n, 100 + n);
@@ -151,7 +151,7 @@ TEST(SimdKernelTest, BinaryKernelsMatchScalarExactly) {
     for (const auto& [ks, kv] : pairs) {
       ks(a.data(), b.data(), o1.data(), n);
       kv(a.data(), b.data(), o2.data(), n);
-      // +,-,*,/,min,max are single IEEE operations: bit-identical.
+      // +,-,*,/,max are single IEEE operations: bit-identical.
       EXPECT_EQ(0, std::memcmp(o1.data(), o2.data(), sizeof(float) * n))
           << "binary kernel mismatch at n=" << n;
     }
@@ -167,7 +167,7 @@ TEST(SimdKernelTest, ScalarOperandKernelsMatchExactly) {
       {sc.add_s, vx.add_s},   {sc.sub_s, vx.sub_s},
       {sc.rsub_s, vx.rsub_s}, {sc.mul_s, vx.mul_s},
       {sc.div_s, vx.div_s},   {sc.rdiv_s, vx.rdiv_s},
-      {sc.max_s, vx.max_s},   {sc.min_s, vx.min_s},
+      {sc.max_s, vx.max_s},   {sc.rmax_s, vx.rmax_s},
   };
   for (int64_t n : kAwkwardLengths) {
     const auto a = RandomVec(n, 300 + n, 0.5f, 4.0f);
@@ -430,12 +430,12 @@ bool SameBits(float a, float b) {
   return std::memcmp(&a, &b, sizeof(float)) == 0;
 }
 
-TEST(SimdKernelTest, MaxMinFollowStdMaxMinOnNanAndSignedZero) {
-  // vmax/vmin/max_s/min_s answer std::max(a, b) / std::min(a, b) exactly,
-  // at every level and wherever an element falls in the call's range —
-  // the order Maximum/Minimum's general-broadcast fallback uses.
+TEST(SimdKernelTest, MaxFollowsStdMaxOnNanAndSignedZero) {
+  // vmax/max_s/rmax_s answer std::max in their documented operand order
+  // exactly, at every level and wherever an element falls in the call's
+  // range: Maximum's vv/vs/sv row kernels must all agree with
+  // std::max(a, b).
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  using BinVV = void (*)(const float*, const float*, float*, int64_t);
   using BinVS = void (*)(const float*, float, float*, int64_t);
   for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
     if (level == simd::Level::kAvx2 && !simd::Avx2Available()) continue;
@@ -445,32 +445,25 @@ TEST(SimdKernelTest, MaxMinFollowStdMaxMinOnNanAndSignedZero) {
       const auto b = NanAndZeroVec(n, 1500 + n);
       const int64_t split = (n / 2) | 1;  // odd, off the lane grid
       std::vector<float> o(n), parts(n);
-      for (auto [kernel, is_max] :
-           std::vector<std::pair<BinVV, bool>>{{k.vmax, true},
-                                               {k.vmin, false}}) {
-        kernel(a.data(), b.data(), o.data(), n);
-        for (int64_t i = 0; i < n; ++i) {
-          const float want =
-              is_max ? std::max(a[i], b[i]) : std::min(a[i], b[i]);
-          ASSERT_TRUE(SameBits(o[i], want))
-              << simd::LevelName(level) << (is_max ? " vmax" : " vmin")
-              << " n=" << n << " i=" << i << ": " << a[i] << ", " << b[i]
-              << " -> " << o[i];
-        }
-        kernel(a.data(), b.data(), parts.data(), split);
-        kernel(a.data() + split, b.data() + split, parts.data() + split,
-               n - split);
-        EXPECT_EQ(0, std::memcmp(o.data(), parts.data(), sizeof(float) * n));
+      k.vmax(a.data(), b.data(), o.data(), n);
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(SameBits(o[i], std::max(a[i], b[i])))
+            << simd::LevelName(level) << " vmax n=" << n << " i=" << i
+            << ": " << a[i] << ", " << b[i] << " -> " << o[i];
       }
+      k.vmax(a.data(), b.data(), parts.data(), split);
+      k.vmax(a.data() + split, b.data() + split, parts.data() + split,
+             n - split);
+      EXPECT_EQ(0, std::memcmp(o.data(), parts.data(), sizeof(float) * n));
       for (float s : {nan, -nan, 0.0f, -0.0f, 1.5f}) {
-        for (auto [kernel, is_max] :
-             std::vector<std::pair<BinVS, bool>>{{k.max_s, true},
-                                                 {k.min_s, false}}) {
+        for (auto [kernel, s_first] :
+             std::vector<std::pair<BinVS, bool>>{{k.max_s, false},
+                                                 {k.rmax_s, true}}) {
           kernel(a.data(), s, o.data(), n);
           for (int64_t i = 0; i < n; ++i) {
-            const float want = is_max ? std::max(a[i], s) : std::min(a[i], s);
+            const float want = s_first ? std::max(s, a[i]) : std::max(a[i], s);
             ASSERT_TRUE(SameBits(o[i], want))
-                << simd::LevelName(level) << (is_max ? " max_s" : " min_s")
+                << simd::LevelName(level) << (s_first ? " rmax_s" : " max_s")
                 << " n=" << n << " i=" << i << ": " << a[i] << ", " << s
                 << " -> " << o[i];
           }
@@ -485,16 +478,16 @@ TEST(SimdKernelTest, MaxMinFollowStdMaxMinOnNanAndSignedZero) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Tensor-op equivalence across levels (broadcast and odometer paths)
+// 2. Tensor-op equivalence across levels (broadcast row classes)
 // ---------------------------------------------------------------------------
 
 TEST(SimdTensorOpTest, BroadcastPathsAgreeAcrossLevels) {
   if (SkipWithoutAvx2()) return;
   utils::Rng rng(21);
   Tensor a = Tensor::Normal(Shape({3, 5, 7}), rng);
-  Tensor row = Tensor::Normal(Shape({7}), rng);        // odometer path
-  Tensor col = Tensor::Normal(Shape({5, 1}), rng);     // odometer path
-  Tensor scalar = Tensor::Scalar(1.5f);                // scalar fast path
+  Tensor row = Tensor::Normal(Shape({7}), rng);        // trailing row (vv)
+  Tensor col = Tensor::Normal(Shape({5, 1}), rng);     // column (vs)
+  Tensor scalar = Tensor::Scalar(1.5f);                // one row (vs)
   for (auto make : {+[](const Tensor& x, const Tensor& y) {
                       return tensor::Add(x, y);
                     },

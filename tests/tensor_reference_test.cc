@@ -1,16 +1,22 @@
 // Differential tests: every tensor kernel is checked against a
 // deliberately naive per-element reference implementation on randomized
-// inputs. The production kernels use loop reordering, fast paths, and
-// odometer iteration; the references use nothing but index arithmetic, so
-// agreement across many random shapes is strong evidence of correctness.
+// inputs. The production kernels use loop reordering, row decomposition
+// (broadcasts and transposes walk merged rows through contiguous
+// kernels), and blocked reductions; the references use nothing but index
+// arithmetic, so agreement across many random shapes is strong evidence
+// of correctness.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
 #include "core/sagdfn.h"
+#include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "utils/parallel.h"
 #include "utils/rng.h"
@@ -56,6 +62,31 @@ Tensor RefBinary(const Tensor& a, const Tensor& b,
                    RefBroadcastAt(b, index, rank));
   }
   return out;
+}
+
+/// out[..., j, ..., i, ...] = a[..., i, ..., j, ...] by index arithmetic.
+Tensor RefTranspose(const Tensor& a, int64_t axis0, int64_t axis1) {
+  std::vector<int64_t> out_dims = a.shape().dims();
+  std::swap(out_dims[axis0], out_dims[axis1]);
+  Tensor out{Shape(out_dims)};
+  const int64_t rank = a.ndim();
+  std::vector<int64_t> index(rank, 0);
+  for (int64_t flat = 0; flat < out.size(); ++flat) {
+    int64_t rem = flat;
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      index[d] = rem % out_dims[d];
+      rem /= out_dims[d];
+    }
+    std::swap(index[axis0], index[axis1]);
+    out[flat] = RefAt(a, index);
+  }
+  return out;
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
 }
 
 Tensor RefMatMul(const Tensor& a, const Tensor& b) {
@@ -150,6 +181,87 @@ TEST_P(BinaryOpDifferential, MatchesReferenceOnRandomBroadcasts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinaryOpDifferential,
                          ::testing::Values(101, 102, 103, 104));
+
+// Values that tell operand orders and rounding paths apart: ±0, ±inf,
+// denormals, one quiet-NaN payload, and ordinary numbers.
+const float kSpecials[] = {0.0f,
+                           -0.0f,
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::denorm_min(),
+                           -3 * std::numeric_limits<float>::denorm_min(),
+                           std::numeric_limits<float>::quiet_NaN(),
+                           1.0f,
+                           -2.5f};
+
+/// A size-1 operand comes back once per special value; a larger one as
+/// random values with specials mixed in.
+std::vector<Tensor> SpecialOperands(const Shape& shape, utils::Rng& rng) {
+  std::vector<Tensor> out;
+  if (shape.NumElements() == 1) {
+    for (float v : kSpecials) out.push_back(Tensor::Full(shape, v));
+    return out;
+  }
+  Tensor t = Tensor::Uniform(shape, rng, -4.0f, 4.0f);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    if (rng.Bernoulli(0.5)) t[i] = kSpecials[rng.UniformInt(9)];
+  }
+  out.push_back(t);
+  return out;
+}
+
+// Every broadcast row class, in both operand orders, equals the
+// per-element reference byte for byte at both SIMD levels: add, sub, mul
+// and div are one IEEE operation per element, and Maximum's row kernels
+// keep std::max(a, b) order whichever side is constant along the row.
+TEST(BroadcastBytewise, EveryRowClassMatchesReferenceAtBothLevels) {
+  using Shapes = std::pair<std::vector<int64_t>, std::vector<int64_t>>;
+  const std::vector<Shapes> cases = {
+      {{3, 5, 7}, {3, 5, 7}},  // same shape: one dense row
+      {{3, 5, 7}, {}},         // rank-0 scalar
+      {{3, 5, 7}, {1}},        // rank-1 scalar
+      {{7}, {1, 1}},           // rank-promoting [1, 1] scalar
+      {{2, 9, 6}, {6}},        // trailing row, [B, N, C] + [C]
+      {{9, 1}, {9, 6}},        // column
+      {{4, 1, 6}, {4, 5, 6}},  // middle broadcast
+      {{1, 5, 6}, {4, 5, 6}},  // leading broadcast
+  };
+  using Op = Tensor (*)(const Tensor&, const Tensor&);
+  const std::vector<std::tuple<const char*, Op,
+                               std::function<float(float, float)>>>
+      ops = {
+          {"Add", Add, std::plus<float>()},
+          {"Sub", Sub, std::minus<float>()},
+          {"Mul", Mul, std::multiplies<float>()},
+          {"Div", Div, std::divides<float>()},
+          {"Maximum", Maximum,
+           [](float x, float y) { return std::max(x, y); }},
+      };
+  const simd::Level original = simd::ActiveLevel();
+  for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
+    if (!simd::SetActiveLevel(level)) continue;  // no AVX2 here
+    utils::Rng rng(601);
+    for (const auto& [dims_a, dims_b] : cases) {
+      const std::vector<Tensor> as = SpecialOperands(Shape(dims_a), rng);
+      const std::vector<Tensor> bs = SpecialOperands(Shape(dims_b), rng);
+      for (const Tensor& a : as) {
+        for (const Tensor& b : bs) {
+          for (const auto& [name, op, ref] : ops) {
+            for (bool swap : {false, true}) {
+              const Tensor& x = swap ? b : a;
+              const Tensor& y = swap ? a : b;
+              EXPECT_TRUE(SameBytes(op(x, y), RefBinary(x, y, ref)))
+                  << simd::LevelName(level) << " " << name << " "
+                  << x.shape().ToString() << " (x[0] = " << x[0] << ") , "
+                  << y.shape().ToString() << " (y[0] = " << y[0] << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::SetActiveLevel(original);
+}
 
 class MatMulDifferential : public ::testing::TestWithParam<uint64_t> {};
 
@@ -249,13 +361,19 @@ TEST(IndexingDifferential, ConcatSliceInverse) {
 }
 
 TEST(TransposeDifferential, MatchesElementwiseDefinition) {
+  // Every axis pair at ranks 1-4, byte for byte. Pairs that leave the
+  // last axis in place walk merged contiguous rows; pairs that swap it
+  // read the last output dim at its input stride.
   utils::Rng rng(403);
-  Tensor a = Tensor::Normal(Shape({3, 4, 5}), rng);
-  Tensor t = Transpose(a, 0, 2);
-  for (int64_t i = 0; i < 3; ++i) {
-    for (int64_t j = 0; j < 4; ++j) {
-      for (int64_t k = 0; k < 5; ++k) {
-        EXPECT_FLOAT_EQ(t.At({k, j, i}), a.At({i, j, k}));
+  const std::vector<int64_t> all_dims = {3, 4, 5, 2};
+  for (int64_t rank = 1; rank <= 4; ++rank) {
+    const std::vector<int64_t> dims(all_dims.begin(),
+                                    all_dims.begin() + rank);
+    Tensor a = Tensor::Normal(Shape(dims), rng);
+    for (int64_t i = 0; i < rank; ++i) {
+      for (int64_t j = 0; j < rank; ++j) {
+        EXPECT_TRUE(SameBytes(Transpose(a, i, j), RefTranspose(a, i, j)))
+            << a.shape().ToString() << " axes (" << i << ", " << j << ")";
       }
     }
   }
@@ -342,6 +460,14 @@ TEST(ThreadCountDeterminism, ElementwiseAndReductionsBitIdentical) {
   Tensor a = Tensor::Normal(Shape({16, 96, 64}), rng);
   Tensor b = Tensor::Normal(Shape({16, 96, 64}), rng);
   Tensor col = Tensor::Normal(Shape({96, 1}), rng);  // broadcast operand
+  // train-2000's bias add and BatchedMatMul-backward transpose shapes,
+  // plus an odd-sized pair. Their rows (18 contiguous elements; 2000 or
+  // 1999 read at stride 18) do not divide every thread count's chunk, so
+  // chunks start mid-row: [8, 2000, 18] + [18] at 8 threads, the
+  // [7, 1999, 18] pair at 2 and 8.
+  Tensor act = Tensor::Normal(Shape({8, 2000, 18}), rng);
+  Tensor bias = Tensor::Normal(Shape({18}), rng);
+  Tensor odd = Tensor::Normal(Shape({7, 1999, 18}), rng);
   utils::SetNumThreads(1);
   Tensor ref_add = Add(a, b);
   Tensor ref_bcast = Mul(a, col);
@@ -352,6 +478,10 @@ TEST(ThreadCountDeterminism, ElementwiseAndReductionsBitIdentical) {
   Tensor ref_max = Max(a, 1);
   Tensor ref_sum_all = SumAll(a);
   Tensor ref_transpose = Transpose(a, 0, 2);
+  Tensor ref_bias = Add(act, bias);
+  Tensor ref_act_t = Transpose(act, 1, 2);
+  Tensor ref_odd_bias = Add(odd, bias);
+  Tensor ref_odd_t = Transpose(odd, 1, 2);
   for (int64_t t : kThreadCounts) {
     utils::SetNumThreads(t);
     ExpectBitIdentical(Add(a, b), ref_add, "Add");
@@ -363,6 +493,11 @@ TEST(ThreadCountDeterminism, ElementwiseAndReductionsBitIdentical) {
     ExpectBitIdentical(Max(a, 1), ref_max, "Max axis 1");
     ExpectBitIdentical(SumAll(a), ref_sum_all, "SumAll");
     ExpectBitIdentical(Transpose(a, 0, 2), ref_transpose, "Transpose");
+    ExpectBitIdentical(Add(act, bias), ref_bias, "Add trailing row");
+    ExpectBitIdentical(Transpose(act, 1, 2), ref_act_t, "Transpose (1, 2)");
+    ExpectBitIdentical(Add(odd, bias), ref_odd_bias, "Add odd trailing row");
+    ExpectBitIdentical(Transpose(odd, 1, 2), ref_odd_t,
+                       "Transpose odd (1, 2)");
   }
 }
 
